@@ -15,12 +15,15 @@ Exit codes: 0 success, 1 cross-check or verification failure, 2 parse
 or usage error, 3 crossing budget exceeded (with a partial report).
 Reports are JSON with sorted keys, so byte-identical round trips need
 nothing beyond ``json.dumps(..., indent=2, sort_keys=True)``; timing
-fields are the only values that vary between runs.  The env variable
+fields are the only values that vary between runs.  ``kh`` and
+``invariants`` also carry a ``stats`` block beside ``timings``: the exact
+size counters of each Khovanov scan, keyed like its timing.  The env variable
 SYMKNOT_BUDGET overrides the default crossing budgets; the
 ``--budget-crossings`` flag overrides both.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -95,7 +98,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     p.add_argument(
         "--budget-crossings",
         type=int,
@@ -136,7 +138,7 @@ def _resolve_diagram(parser: argparse.ArgumentParser, args) -> PlanarDiagram:
 
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json:
+    if args.json and args.json != "-":
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -159,14 +161,28 @@ def _kh_section(result, reduced=None) -> dict:
 
 
 class _Timer:
+    """Seconds per stage, plus the size counters of each Khovanov stage."""
+
     def __init__(self):
         self.timings: dict[str, float] = {}
+        self.stats: dict[str, dict[str, int]] = {}
 
     def run(self, stage: str, fn):
         t0 = time.perf_counter()
         out = fn()
         self.timings[stage] = time.perf_counter() - t0
         return out
+
+    def homology(self, stage: str, fn):
+        result = self.run(stage, fn)
+        self.stats[stage] = dataclasses.asdict(result.stats)
+        return result
+
+    def attach(self, report: dict) -> None:
+        """Add the run-dependent blocks, which stay outside the byte-stable part."""
+        report["timings"] = self.timings
+        if self.stats:
+            report["stats"] = self.stats
 
 
 def _partial_budget_exit(report, timer, args, stage, err) -> int:
@@ -177,7 +193,7 @@ def _partial_budget_exit(report, timer, args, stage, err) -> int:
         "needed": err.needed,
         "budget": err.budget,
     }
-    report["timings"] = timer.timings
+    timer.attach(report)
     _emit(report, args)
     return EXIT_BUDGET
 
@@ -205,9 +221,9 @@ def cmd_invariants(parser, args) -> int:
     stage = "determinant"
     try:
         if is_knot:
-            det_g = timer.run(stage, lambda: determinant_goeritz(d))
-            det_a = timer.run("alexander", lambda: determinant_alexander(d))
-            delta = alexander(d)
+            det_g = timer.run("determinant_goeritz", lambda: determinant_goeritz(d))
+            det_a = timer.run("determinant_alexander", lambda: determinant_alexander(d))
+            delta = timer.run("alexander", lambda: alexander(d))
             report["determinant"] = {"goeritz": det_g, "alexander": det_a}
             checks["determinants_agree"] = det_g == det_a
             report["alexander"] = delta.format("t")
@@ -224,8 +240,8 @@ def cmd_invariants(parser, args) -> int:
 
         stage = "jones"
         kw = {} if budget is None else {"budget": budget}
-        vhat = timer.run(stage, lambda: jones(d, **kw))
-        vnorm = jones_normalized(d, **kw)
+        vhat = timer.run("jones", lambda: jones(d, **kw))
+        vnorm = timer.run("jones_normalized", lambda: jones_normalized(d, **kw))
         report["jones"] = {
             "unnormalized": vhat.format("q"),
             "normalized": vnorm.format("q"),
@@ -238,9 +254,8 @@ def cmd_invariants(parser, args) -> int:
         report["khovanov"] = {}
         results = {}
         for field in fields:
-            results[field] = timer.run(
-                f"khovanov_{field}",
-                lambda f=field: kh_homology(d, f, budget=budget, jobs=args.jobs),
+            results[field] = timer.homology(
+                f"khovanov_{field}", lambda f=field: kh_homology(d, f, budget=budget)
             )
             reduced = reduced_f2_dims(results[field]) if field == F2 else None
             report["khovanov"][field] = _kh_section(results[field], reduced)
@@ -254,7 +269,7 @@ def cmd_invariants(parser, args) -> int:
 
         if is_knot:
             stage = "verdict"
-            verdict = timer.run(stage, lambda: ccc_verdict(d, COMPUTE, budget=budget, jobs=args.jobs))
+            verdict = timer.run(stage, lambda: ccc_verdict(d, COMPUTE, budget=budget))
             report["verdict"] = {
                 "verdict": verdict.verdict,
                 "l_space_certificate": verdict.l_space_certificate,
@@ -267,7 +282,7 @@ def cmd_invariants(parser, args) -> int:
     except BudgetError as err:
         return _partial_budget_exit(report, timer, args, stage, err)
 
-    report["timings"] = timer.timings
+    timer.attach(report)
     _emit(report, args)
     return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
 
@@ -296,14 +311,12 @@ def cmd_kh(parser, args) -> int:
         "field": field,
     }
     try:
-        result = timer.run(
-            "khovanov", lambda: kh_homology(d, field, budget=budget, jobs=args.jobs)
-        )
+        result = timer.homology("khovanov", lambda: kh_homology(d, field, budget=budget))
     except BudgetError as err:
         return _partial_budget_exit(report, timer, args, "khovanov", err)
     reduced = reduced_f2_dims(result) if field == F2 else None
     report["khovanov"] = _kh_section(result, reduced)
-    report["timings"] = timer.timings
+    timer.attach(report)
     _emit(report, args)
     return EXIT_OK
 
@@ -386,14 +399,14 @@ def _row(criterion, case, ok, expected, got):
 
 
 def _check_kh52(ctx):
-    result = kh_homology(knot_5_2(), RATIONAL, jobs=ctx["jobs"])
+    result = kh_homology(knot_5_2(), RATIONAL)
     got = result.dims.dims
     yield _row("kh52", "Kh(5_2;Q)", got == KH_52_TABLE, KH_52_TABLE, got)
 
 
 def _check_kh(ctx):
-    for n in ctx["n_range"] or range(0, 5):
-        result = kh_homology(kn_template(n), RATIONAL, budget=ctx["budget"], jobs=ctx["jobs"])
+    for n in ctx["n_range"] or range(-6, 7):
+        result = kh_homology(kn_template(n), RATIONAL, budget=ctx["budget"])
         want = closed_formula_kn(n)
         yield _row(
             "kh", f"Kh(K_{n};Q) == closed formula", result.dims == want,
@@ -405,9 +418,9 @@ def _check_kh(ctx):
 
 
 def _check_khf2(ctx):
-    for n in ctx["n_range"] or range(0, 5):
+    for n in ctx["n_range"] or range(-10, 11):
         d = kn_template(n)
-        result = kh_homology(d, F2, budget=ctx["budget"], jobs=ctx["jobs"])
+        result = kh_homology(d, F2, budget=ctx["budget"])
         report = is_thin(result)
         yield _row("khf2", f"K_{n} F2 thin", report.thin, True, report.diagonals)
         red = reduced_f2_dims(result).total_rank()
@@ -450,8 +463,8 @@ def _check_identify(ctx):
     k1, ten = kn_template(1), knot_10_22()
     jk, jt = jones(k1), jones(ten)
     yield _row("identify", "jones(K_1) == jones(10_22)", jk == jt, jt.format("q"), jk.format("q"))
-    kk = kh_homology(k1, RATIONAL, jobs=ctx["jobs"]).dims
-    kt = kh_homology(ten, RATIONAL, jobs=ctx["jobs"]).dims
+    kk = kh_homology(k1, RATIONAL).dims
+    kt = kh_homology(ten, RATIONAL).dims
     yield _row("identify", "Kh(K_1;Q) == Kh(10_22;Q)", kk == kt, kt.poincare(), kk.poincare())
     want = closed_formula_kn(1)
     yield _row("identify", "Kh(10_22;Q) == formula(1)", kt == want, want.poincare(), kt.poincare())
@@ -463,13 +476,13 @@ def _check_ccc(ctx):
         yield _row("ccc", f"K_{n}", v.verdict == SATISFIES_CCC, SATISFIES_CCC, v.verdict)
     for n in range(1, 7):
         mode = COMPUTE if n <= 4 else FORMULA
-        v = ccc_verdict(kn_template(n), mode, jobs=ctx["jobs"])
+        v = ccc_verdict(kn_template(n), mode)
         yield _row("ccc", f"K_{n}", v.verdict == INCONCLUSIVE, INCONCLUSIVE, v.verdict)
 
 
 def _check_skein(ctx):
     k2 = kn_template(2)
-    rep = skein_consistency(k2, k2.site.interior[0], jobs=ctx["jobs"])
+    rep = skein_consistency(k2, k2.site.interior[0])
     yield _row("skein", "epsilon at the K_2 twist", rep.epsilon == 0, 0, rep.epsilon)
     yield _row("skein", "rank inequality", rep.rank_inequality_ok, True, rep.rank_inequality_ok)
     yield _row("skein", "Euler additivity", rep.euler_additive, True, rep.euler_additive)
@@ -515,15 +528,15 @@ def _check_snf(ctx):
 
 def _check_euler(ctx):
     for d in _property_corpus():
-        got = kh_homology(d, RATIONAL, jobs=ctx["jobs"]).dims.euler_poly()
+        got = kh_homology(d, RATIONAL).dims.euler_poly()
         want = jones(d)
         yield _row("euler", d.name or d.serialize(), got == want, want.format("q"), got.format("q"))
 
 
 def _check_mirror(ctx):
     for d in _property_corpus():
-        got = kh_homology(mirror(d), RATIONAL, jobs=ctx["jobs"]).dims
-        want = kh_homology(d, RATIONAL, jobs=ctx["jobs"]).dims.reflect()
+        got = kh_homology(mirror(d), RATIONAL).dims
+        want = kh_homology(d, RATIONAL).dims.reflect()
         yield _row("mirror", d.name or d.serialize(), got == want, want.poincare(), got.poincare())
 
 
@@ -580,7 +593,6 @@ def cmd_verify_paper(parser, args) -> int:
     ctx = {
         "n_range": _parse_n_range(args.n_range, parser),
         "budget": _budget(args),
-        "jobs": args.jobs,
         "seed": args.seed,
     }
     rows = []

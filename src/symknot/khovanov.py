@@ -1,4 +1,4 @@
-"""Khovanov homology over Q and F2 from the cube of resolutions.
+"""Khovanov homology over Q and F2.
 
 Gradings: a cube vertex v in {0,1}^c (bit i set means crossing i takes the
 (0,3),(1,2) smoothing) sits in homological grading u = |v| - n_minus.  A
@@ -12,28 +12,30 @@ so the graded Euler characteristic is the unnormalized Jones polynomial
 published table with these shifts; that equality is the calibration test
 for every sign convention in this module.
 
-The differential never changes q, so each q-slice is an independent finite
-complex.  Dimensions come from chain-level Gaussian elimination with exact
-arithmetic over Q and bit-packed row reduction over F2.  Slices can be
-farmed out to a bounded worker pool; the merge is by sorted q, so worker
-count never changes the answer.
+``kh_homology`` computes with Bar-Natan's scanning engine
+(``symknot.bar_natan``): crossings are added one at a time, closed circles
+are delooped and identity entries cancelled after each one, so the complex
+stays a few hundred objects wide instead of growing with the 2^c vertices
+of the cube.  The cube of resolutions itself stays as an inspection hook:
+``build_cube`` and ``slice_complex`` give the generators and raw
+differentials of one q-slice.
 """
 
 from __future__ import annotations
 
-import heapq
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import BigradedDims
+from .bar_natan import InvariantError, ScanStats, scan_homology
 from .diagram import BudgetError, PlanarDiagram, resolve_crossing
 
 __all__ = [
     "RATIONAL",
     "F2",
     "CUBE_BUDGET",
+    "InvariantError",
     "KH_BUDGET",
     "ResolutionCube",
     "KhResult",
@@ -164,13 +166,15 @@ class ResolutionCube:
         if a != b:
             is_split = 0
             m = cv2[e0]
-            assert m == cv2[e2] and ke2 == ke - 1
+            if m != cv2[e2] or ke2 != ke - 1:
+                raise InvariantError(f"cube edge ({v}, {i}) is not a merge of two circles")
             special = (m,)
             A, B, C = a, b, m
         else:
             is_split = 1
             s, t = cv2[e0], cv2[e2]
-            assert s != t and ke2 == ke + 1
+            if s == t or ke2 != ke + 1:
+                raise InvariantError(f"cube edge ({v}, {i}) is not a split into two circles")
             special = (s, t)
             A, B, C = a, s, t
         trans = tuple(
@@ -198,7 +202,7 @@ def build_cube(d: PlanarDiagram, budget: int = CUBE_BUDGET) -> ResolutionCube:
     return ResolutionCube(d, budget=budget)
 
 
-# -- one quantum slice -------------------------------------------------------
+# -- one quantum slice of the cube (inspection hook) ---------------------------
 
 
 def _slice_levels(cube: ResolutionCube, q: int, shift_base: int):
@@ -266,153 +270,22 @@ def _slice_matrices(cube, levels, index, char2: bool):
     return mats
 
 
-def _rank_f2(n_cols: int, cols: dict[int, dict[int, int]]) -> int:
-    """Rank over F2 with columns packed into integers."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for c in range(n_cols):
-        rows = cols.get(c)
-        if not rows:
-            continue
-        cur = 0
-        for w in rows:
-            cur |= 1 << w
-        while cur:
-            lead = cur.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = cur
-                rank += 1
-                break
-            cur ^= p
-    return rank
-
-
-def _dims_f2(levels, mats):
-    ranks = {r: _rank_f2(len(levels[r]), cols) for r, cols in mats.items()}
-    return {
-        r: len(gens) - ranks.get(r, 0) - ranks.get(r - 1, 0)
-        for r, gens in levels.items()
-    }
-
-
-def _dims_rational(levels, mats):
-    """Homology dimensions by chain-level Gaussian elimination.
-
-    Cancelling an invertible entry a = <d x, y> removes x and y, applies the
-    complement update to the same differential, drops the x-row one level
-    down and the y-column one level up; homology is unchanged.  Pivots are
-    picked Markowitz-style, cheapest fill first, through a lazy heap whose
-    stale entries are re-costed on pop.  Unit pivots keep everything in
-    integers; leftovers (rare) pivot with Fractions.  Once no entries remain
-    the surviving generator counts are the answer.
-    """
-    alive = {r: len(gens) for r, gens in levels.items()}
-    out_: dict[int, dict[int, dict[int, object]]] = {
-        r: {c: dict(rows) for c, rows in cols.items()} for r, cols in mats.items()
-    }
-    in_: dict[int, dict[int, dict[int, object]]] = {r: {} for r in out_}
-    heap: list[tuple[int, int, int, int]] = []
-    for r, cols in out_.items():
-        rows_of = in_[r]
-        for c, rows in cols.items():
-            nc = len(rows) - 1
-            for w, cf in rows.items():
-                rows_of.setdefault(w, {})[c] = cf
-                if cf == 1 or cf == -1:
-                    heap.append((nc, r, c, w))
-    heapq.heapify(heap)
-
-    def cancel(r: int, x: int, y: int) -> None:
-        a = out_[r][x].pop(y)
-        yrow = in_[r].pop(y)
-        del yrow[x]
-        xcol = out_[r].pop(x)
-        for w in yrow:
-            del out_[r][w][y]
-        for t in xcol:
-            del in_[r][t][x]
-        alive[r] -= 1
-        alive[r + 1] -= 1
-        if xcol and yrow:
-            inv = a if a in (1, -1) else Fraction(1, 1) / a
-            for w, b in yrow.items():
-                fac = b * inv
-                wcol = out_[r].setdefault(w, {})
-                for t, cf in xcol.items():
-                    val = wcol.get(t, 0) - fac * cf
-                    if val:
-                        wcol[t] = val
-                        in_[r].setdefault(t, {})[w] = val
-                        if val == 1 or val == -1:
-                            heapq.heappush(
-                                heap, ((len(wcol) - 1) * (len(in_[r][t]) - 1), r, w, t)
-                            )
-                    else:
-                        wcol.pop(t, None)
-                        trow = in_[r].get(t)
-                        if trow:
-                            trow.pop(w, None)
-                if not wcol:
-                    del out_[r][w]
-        prev = in_.get(r - 1)
-        if prev is not None:
-            for w in prev.pop(x, ()):  # drop the x-row below
-                cw = out_[r - 1][w]
-                del cw[x]
-                if not cw:
-                    del out_[r - 1][w]
-        nxt = out_.get(r + 1)
-        if nxt is not None:
-            for t in nxt.pop(y, ()):  # drop the y-column above
-                ti = in_[r + 1][t]
-                del ti[y]
-                if not ti:
-                    del in_[r + 1][t]
-
-    while True:
-        while heap:
-            cost, r, x, y = heapq.heappop(heap)
-            rows = out_.get(r, {}).get(x)
-            if rows is None or rows.get(y) not in (1, -1):
-                continue
-            now = (len(rows) - 1) * (len(in_[r][y]) - 1)
-            if now > cost and heap and heap[0][0] < now:
-                heapq.heappush(heap, (now, r, x, y))
-                continue
-            cancel(r, x, y)
-        leftover = None
-        for r, cols in out_.items():
-            for x, rows in cols.items():
-                if rows:
-                    leftover = (r, x, next(iter(rows)))
-                    break
-            if leftover:
-                break
-        if leftover is None:
-            break
-        cancel(*leftover)
-    return dict(alive)
-
-
-def _slice_dims(cube, q: int, n_plus: int, n_minus: int, tag: str):
-    levels, index = _slice_levels(cube, q, n_plus - 2 * n_minus)
-    mats = _slice_matrices(cube, levels, index, tag == F2)
-    raw = _dims_f2(levels, mats) if tag == F2 else _dims_rational(levels, mats)
-    return {r - n_minus: dim for r, dim in raw.items() if dim}
-
-
 # -- results and operations ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class KhResult:
-    """Bigraded homology dimensions plus the diagram data behind them."""
+    """Bigraded homology dimensions plus the diagram data behind them.
+
+    ``stats`` holds the scan's exact size counters; it takes no part in
+    equality, so two results compare by their tables alone.
+    """
 
     field: str
     dims: BigradedDims
     n_plus: int
     n_minus: int
+    stats: ScanStats | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.field not in (RATIONAL, F2):
@@ -425,28 +298,13 @@ class KhResult:
         return self.dims.poincare()
 
 
-def _all_q_values(cube, shift_base: int) -> list[int]:
-    qs: set[int] = set()
-    for v in range(cube.n_vertices):
-        k = cube.n_circles[v]
-        base = v.bit_count() + shift_base
-        qs.update(range(base - k, base + k + 1, 2))
-    return sorted(qs)
-
-
 def kh_homology(
     d: PlanarDiagram,
     field: str = RATIONAL,
     *,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> KhResult:
-    """Bigraded Khovanov homology of ``d`` over Q or F2.
-
-    Every q-slice is computed independently; ``jobs`` bounds the worker
-    pool.  Results are merged in sorted q order, so the worker count never
-    affects the output.
-    """
+    """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning."""
     tag = _field_tag(field)
     limit = KH_BUDGET[tag] if budget is None else budget
     if d.n_crossings > limit:
@@ -455,26 +313,16 @@ def kh_homology(
             needed=d.n_crossings,
             budget=limit,
         )
-    cube = build_cube(d, budget=limit)
+    raw, stats = scan_homology(d.crossings, d.loops, char2=tag == F2)
     n_plus, n_minus = d.n_plus, d.n_minus
-    shift_base = n_plus - 2 * n_minus
-    qs = _all_q_values(cube, shift_base)
-
-    def one(q: int):
-        return q, _slice_dims(cube, q, n_plus, n_minus, tag)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slices = list(pool.map(one, qs))
-    else:
-        slices = [one(q) for q in qs]
-    dims: dict[tuple[int, int], int] = {}
-    for q, per_u in slices:
-        for u, dim in per_u.items():
-            dims[(q, u)] = dim
+    shift = n_plus - 2 * n_minus
+    dims = {(q + shift, r - n_minus): dim for (q, r), dim in raw.items()}
     parity = d.n_components() % 2
-    assert all(q % 2 == parity for (q, _) in dims), "quantum parity broken"
-    return KhResult(field=tag, dims=BigradedDims(dims), n_plus=n_plus, n_minus=n_minus)
+    if any(q % 2 != parity for (q, _) in dims):
+        raise InvariantError(f"quantum gradings of {d.name or 'the diagram'} break parity {parity}")
+    return KhResult(
+        field=tag, dims=BigradedDims(dims), n_plus=n_plus, n_minus=n_minus, stats=stats
+    )
 
 
 def slice_complex(
@@ -615,7 +463,6 @@ def skein_consistency(
     field: str = RATIONAL,
     *,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> SkeinReport:
     """Check the skein triangle relating ``d`` and its two resolutions.
 
@@ -633,10 +480,9 @@ def skein_consistency(
         shift_a, shift_b = (2 + 3 * eps, 1 + eps), (1, 0)
     else:
         shift_a, shift_b = (1 + 3 * eps, eps), (-1, 0)
-    kw = {"budget": budget, "jobs": jobs}
-    kh_d = kh_homology(d, field, **kw)
-    kh_a = kh_homology(unoriented, field, **kw)
-    kh_b = kh_homology(oriented, field, **kw)
+    kh_d = kh_homology(d, field, budget=budget)
+    kh_a = kh_homology(unoriented, field, budget=budget)
+    kh_b = kh_homology(oriented, field, budget=budget)
     shifted_a = kh_a.dims.shift(*shift_a)
     shifted_b = kh_b.dims.shift(*shift_b)
     rank_ok = all(

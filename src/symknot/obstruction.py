@@ -89,7 +89,6 @@ def _certificate(
     mode: str,
     *,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> tuple[str, dict]:
     tag = _mode_tag(mode)
     _require_knot(d)
@@ -101,7 +100,7 @@ def _certificate(
             )
         return FORMULA_THIN, {"certificate_basis": "template family closed form", "template_n": n}
     try:
-        result = kh_homology(d, F2, budget=budget, jobs=jobs)
+        result = kh_homology(d, F2, budget=budget)
     except BudgetError as err:
         return ABSENT, {
             "certificate_basis": "computation refused",
@@ -128,7 +127,6 @@ def l_space_certificate(
     mode: str = COMPUTE,
     *,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> str:
     """Certify that the branched double cover is an L-space.
 
@@ -139,7 +137,7 @@ def l_space_certificate(
     so consumers can filter on provenance.  A refused or failed
     computation yields ABSENT, never an exception.
     """
-    cert, _ = _certificate(d, mode, budget=budget, jobs=jobs)
+    cert, _ = _certificate(d, mode, budget=budget)
     return cert
 
 
@@ -182,7 +180,6 @@ def ccc_verdict(
     mode: str = COMPUTE,
     *,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> ObstructionVerdict:
     """Run the full obstruction on one knot diagram.
 
@@ -194,7 +191,7 @@ def ccc_verdict(
     ABSENT certificate and an INCONCLUSIVE verdict with the reason in
     the evidence, not as exceptions.
     """
-    cert, details = _certificate(d, mode, budget=budget, jobs=jobs)
+    cert, details = _certificate(d, mode, budget=budget)
     h1 = h1_branched_cover(d)
     det_g = determinant_goeritz(d)
     det_a = determinant_alexander(d)

@@ -84,7 +84,8 @@ def test_criterion_1_kh_52_exact():
 
 
 def test_criterion_2_kh_family_rational():
-    for n in range(0, 5):
+    # -6..6 is every n the rational budget of 16 crossings admits
+    for n in range(-6, 7):
         result, seconds = _kn_q(n)
         assert result.dims == closed_formula_kn(n), n
         report = is_thin(result)
@@ -94,7 +95,8 @@ def test_criterion_2_kh_family_rational():
 
 
 def test_criterion_3_kh_family_f2():
-    for n in range(0, 5):
+    # -10..10 is every n the F2 budget of 20 crossings admits
+    for n in range(-10, 11):
         result, seconds = _kn_f2(n)
         assert is_thin(result).thin, n
         red = reduced_f2_dims(result)

@@ -144,12 +144,28 @@ def test_kh_subcommand(capsys):
     assert report["khovanov"]["reduced_total_rank"] == 3
 
 
-def test_kh_jobs_deterministic(capsys):
-    _, seq, _ = run_json(capsys, ["kh", "--knot", "5_2"])
-    _, par, _ = run_json(capsys, ["kh", "--knot", "5_2", "--jobs", "4"])
-    seq.pop("timings")
-    par.pop("timings")
-    assert seq == par
+def test_stats_and_timing_labels(capsys):
+    _, report, _ = run_json(capsys, ["kh", "--knot", "5_2", "--field", "f2"])
+    assert set(report["stats"]) == {"khovanov"}
+    assert report["stats"]["khovanov"]["crossings"] == 5
+    _, report, _ = run_json(capsys, ["invariants", "--knot", "trefoil"])
+    assert set(report["stats"]) == {"khovanov_Q", "khovanov_F2"}
+    assert set(report["stats"]["khovanov_Q"]) == {
+        "crossings", "max_boundary", "max_objects_before", "max_objects_after",
+        "cancellations", "compositions",
+    }
+    # every timing key names the call it times
+    assert set(report["timings"]) == {
+        "determinant_goeritz", "determinant_alexander", "alexander", "h1", "jones",
+        "jones_normalized", "khovanov_Q", "khovanov_F2", "verdict",
+    }
+
+
+def test_json_dash_writes_stdout(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, report, _ = run_json(capsys, ["kh", "--knot", "trefoil", "--json", "-"])
+    assert code == EXIT_OK and report["field"] == "Q"
+    assert not (tmp_path / "-").exists()
 
 
 def test_h1_subcommand(capsys):

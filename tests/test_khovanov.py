@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from cube_oracle import cube_homology
 
+from symknot import bar_natan
 from symknot.algebra import BigradedDims
-from symknot.diagram import BudgetError, connected_sum, mirror
+from symknot.bar_natan import InvariantError, scan_homology, scan_order
+from symknot.diagram import BudgetError, PlanarDiagram, connected_sum, mirror
 from symknot.fixtures import (
+    braid_pd,
     figure_eight,
     kn_template,
     knot_5_2,
@@ -228,13 +232,6 @@ def test_thinness_verdicts():
     assert not is_thin(kh_homology(two_unlink()))
 
 
-def test_jobs_do_not_change_answers():
-    for field in (RATIONAL, F2):
-        base = kh_homology(knot_5_2(), field)
-        assert kh_homology(knot_5_2(), field, jobs=3).dims == base.dims
-        assert kh_homology(knot_5_2(), field, jobs=8).dims == base.dims
-
-
 def _compose(mats, u):
     """All coefficients of d_{u+1} . d_u, as a dict (src, dst) -> value."""
     first = mats.get(u, {})
@@ -290,7 +287,7 @@ def test_closed_formula_shape():
 
 
 def test_closed_formula_matches_computation_small_n():
-    # the 0..4 sweep lives in the acceptance tests; keep the cheap pair here
+    # the -6..6 sweep lives in the acceptance tests; keep the cheap pair here
     assert kh_homology(kn_template(0)).dims == closed_formula_kn(0)
     assert kh_homology(kn_template(1)).dims == closed_formula_kn(1)
 
@@ -348,6 +345,127 @@ def test_quantum_parity():
     for d in (trefoil(), figure_eight()):
         assert all(q % 2 for (q, _) in kh_homology(d).dims.dims)
     assert all(q % 2 == 0 for (q, _) in kh_homology(torus_2k(2)).dims.dims)
+
+
+# -- the scanning engine against the cube oracle ------------------------------
+
+CORPUS_SEED = 20261017
+
+
+def _disjoint_union(d1, d2):
+    offset = max(d1.arcs, default=0)
+    shifted = [tuple(a + offset for a in x) for x in d2.crossings]
+    return PlanarDiagram(list(d1.crossings) + shifted, loops=d1.loops + d2.loops)
+
+
+def _random_word(rng, strands, length):
+    return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+
+
+def random_braid_corpus(seed=CORPUS_SEED):
+    """Seeded closed 2-4-strand braids with at most 9 crossings.
+
+    Trace closures of random words give knots and links, strands no letter
+    touches give crossingless loops, a Markov stabilisation (one more strand
+    and one letter on it) gives a kink, and a disjoint union of two closures
+    gives a split diagram.
+    """
+    rng = random.Random(seed)
+    corpus = []
+    for strands in (2, 3, 4):
+        for _ in range(10):
+            corpus.append(braid_pd(_random_word(rng, strands, rng.randint(1, 9)), strands))
+    for strands in (2, 3):
+        for _ in range(5):
+            word = _random_word(rng, strands, rng.randint(1, 8))
+            word.append(rng.choice((1, -1)) * strands)
+            corpus.append(braid_pd(word, strands + 1))
+    for _ in range(8):
+        a = braid_pd(_random_word(rng, 2, rng.randint(1, 4)), 2)
+        b = braid_pd(_random_word(rng, 3, rng.randint(1, 5)), 3)
+        corpus.append(_disjoint_union(a, b))
+    for _ in range(6):
+        d = braid_pd(_random_word(rng, 3, rng.randint(0, 7)), 3)
+        corpus.append(PlanarDiagram(d.crossings, loops=d.loops + rng.randint(1, 2)))
+    return corpus
+
+
+def test_random_corpus_covers_every_shape():
+    corpus = random_braid_corpus()
+    assert all(d.n_crossings <= 9 for d in corpus)
+    assert any(d.n_components() == 1 for d in corpus)
+    assert any(d.n_components() > 1 and not d.loops for d in corpus)
+    assert any(d.loops and d.n_crossings for d in corpus)
+    assert any(not d.is_connected() and not d.loops for d in corpus)
+    kink = [a for d in corpus for a in d.arcs if any(x.count(a) == 2 for x in d.crossings)]
+    assert kink
+
+
+@pytest.mark.parametrize("field", [RATIONAL, F2])
+def test_scanning_engine_equals_cube_oracle(field):
+    for i, d in enumerate(random_braid_corpus()):
+        assert kh_homology(d, field).dims == cube_homology(d, field), (i, d.serialize())
+    for d in EULER_CORPUS + [pretzel(-2, 3, 3), knot_10_22()]:
+        assert kh_homology(d, field).dims == cube_homology(d, field), d.name
+
+
+def test_scan_order_keeps_kn_boundary_at_six():
+    for n in range(-14, 15):
+        crossings = kn_template(n).crossings
+        open_, widest = set(), 0
+        for i in scan_order(crossings):
+            open_ ^= set(crossings[i])
+            widest = max(widest, len(open_))
+        assert widest <= 6, n
+
+
+def test_stats_count_the_scan():
+    k3 = kh_homology(kn_template(3))
+    st = k3.stats
+    assert st.crossings == 13 and st.max_boundary == 6
+    assert st.max_objects_after <= st.max_objects_before
+    assert st.cancellations > 0 and st.compositions > 0
+    # exact counters: a second run repeats them, and they stay out of equality
+    assert kh_homology(kn_template(3)).stats == st
+    assert k3 == KhResult(field=RATIONAL, dims=k3.dims, n_plus=k3.n_plus, n_minus=k3.n_minus)
+    assert kh_homology(unknot_zero()).stats.crossings == 0
+
+
+def test_neck_cutting_rules():
+    def ev(chi, dots, boundary):
+        return bar_natan._evaluate([chi], [dots], [boundary])
+
+    # closed components: sphere 0, dotted sphere 1, torus 2, anything heavier 0
+    assert ev(2, 0, 0) == {} and ev(2, 1, 0) == {0: 1} and ev(0, 0, 0) == {0: 2}
+    assert ev(2, 2, 0) == {} and ev(0, 1, 0) == {} and ev(-2, 0, 0) == {}
+    # a disk is undotted; an annulus and a pair of pants leave one disk undotted
+    assert ev(1, 0, 0b1) == {0: 1}
+    assert ev(0, 0, 0b11) == {0b10: 1, 0b01: 1}
+    assert ev(-1, 0, 0b111) == {0b110: 1, 0b101: 1, 0b011: 1}
+    # one dot or one handle dots every disk, a handle with factor 2
+    assert ev(0, 1, 0b11) == {0b11: 1}
+    assert ev(-1, 0, 0b1) == {0b1: 2}
+    assert ev(-1, 1, 0b1) == {}
+    # components multiply; a genus that is not a whole number is a broken plan
+    assert bar_natan._evaluate([1, 0], [0, 0], [0b001, 0b110]) == {0b100: 1, 0b010: 1}
+    with pytest.raises(InvariantError):
+        ev(0, 0, 0b1)
+
+
+def test_open_boundary_after_last_crossing_raises():
+    # an edge label seen once is a corrupted PD code: the tangle never closes
+    with pytest.raises(InvariantError, match="boundary"):
+        scan_homology([(1, 2, 3, 4)], 0, char2=True)
+
+
+def test_glued_entry_of_wrong_degree_raises():
+    # the unknot's two delooped summands, q = +1 and q = -1, joined by a
+    # scalar: that map has degree 0, not the 2 its shifts imply
+    scan = bar_natan._Scan(1, char2=False)
+    top, bottom = scan.objs
+    scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
+    with pytest.raises(InvariantError, match="degree"):
+        scan.add_crossing((1, 2, 3, 4))
 
 
 if __name__ == "__main__":
