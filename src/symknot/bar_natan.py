@@ -40,14 +40,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-__all__ = ["InvariantError", "ScanStats", "scan_order", "scan_homology"]
+from .diagram import InvariantError, scan_order
+
+__all__ = ["ScanStats", "scan_homology"]
 
 # partner slot of every slot in the 0- and the 1-smoothing of a crossing
 _SMOOTHINGS = ((1, 0, 3, 2), (3, 2, 1, 0))
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant of a homology engine failed: a bug or corrupted input."""
 
 
 @dataclass(frozen=True)
@@ -60,27 +58,6 @@ class ScanStats:
     max_objects_after: int
     cancellations: int
     compositions: int
-
-
-def scan_order(crossings) -> list[int]:
-    """Crossing indices, each next one sharing the most open boundary points.
-
-    Ties go to the lowest index.  Keeping the boundary short keeps the number
-    of matchings, and with it the complex, small.
-    """
-    remaining = list(range(len(crossings)))
-    open_: set[int] = set()
-    order = []
-    while remaining:
-        best = max(remaining, key=lambda i: (sum(a in open_ for a in crossings[i]), -i))
-        remaining.remove(best)
-        order.append(best)
-        for a in crossings[best]:
-            if a in open_:
-                open_.remove(a)
-            else:
-                open_.add(a)
-    return order
 
 
 def _cycles(m1: tuple, m2: tuple) -> tuple[tuple[int, ...], int]:

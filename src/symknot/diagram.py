@@ -24,11 +24,14 @@ __all__ = [
     "OrientationError",
     "DiagramStructureError",
     "BudgetError",
+    "InvariantError",
     "PlanarDiagram",
     "TangleSite",
     "TwistParameter",
     "INFINITY",
     "parse_pd",
+    "scan_order",
+    "scan_width",
     "mirror",
     "reflect",
     "connected_sum",
@@ -63,7 +66,7 @@ class DiagramStructureError(PdError):
 
 
 class BudgetError(RuntimeError):
-    """A computation was refused because it would exceed its crossing budget."""
+    """A computation was refused because its size estimate exceeds its budget."""
 
     code = "BUDGET"
 
@@ -71,6 +74,10 @@ class BudgetError(RuntimeError):
         super().__init__(message)
         self.needed = needed
         self.budget = budget
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of an invariant engine failed: a bug or corrupted input."""
 
 
 _TOKEN = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$|O$")
@@ -372,6 +379,45 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
     d = PlanarDiagram(crossings, loops, name)
     d.orientation()
     return d
+
+
+# -- crossing scans -----------------------------------------------------------
+
+
+def scan_order(crossings) -> list[int]:
+    """Crossing indices, each next one sharing the most open boundary points.
+
+    Ties go to the lowest index.  The crossings glued so far form a tangle
+    whose boundary points are the edge labels seen once; keeping it short
+    keeps every scanning engine's state small.
+    """
+    remaining = list(range(len(crossings)))
+    open_: set[int] = set()
+    order = []
+    while remaining:
+        best = max(remaining, key=lambda i: (sum(a in open_ for a in crossings[i]), -i))
+        remaining.remove(best)
+        order.append(best)
+        for a in crossings[best]:
+            if a in open_:
+                open_.remove(a)
+            else:
+                open_.add(a)
+    return order
+
+
+def scan_width(crossings, order) -> int:
+    """Most boundary points open at once while ``crossings`` are glued in ``order``."""
+    open_: set[int] = set()
+    widest = 0
+    for i in order:
+        for a in crossings[i]:
+            if a in open_:
+                open_.remove(a)
+            else:
+                open_.add(a)
+        widest = max(widest, len(open_))
+    return widest
 
 
 # -- elementary operations --------------------------------------------------

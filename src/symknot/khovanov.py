@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import BigradedDims
-from .bar_natan import InvariantError, ScanStats, scan_homology
-from .diagram import BudgetError, PlanarDiagram, resolve_crossing
+from .bar_natan import ScanStats, scan_homology
+from .diagram import BudgetError, InvariantError, PlanarDiagram, resolve_crossing
 
 __all__ = [
     "RATIONAL",

@@ -23,7 +23,7 @@ from .algebra import AbelianGroup
 from .diagram import BudgetError, PlanarDiagram, SymmetricUnion
 from .fixtures import kn_template
 from .goeritz import determinant_goeritz, h1_branched_cover
-from .khovanov import F2, is_thin, kh_homology, reduced_f2_dims
+from .khovanov import F2, KhResult, is_thin, kh_homology, reduced_f2_dims
 from .polynomials import determinant_alexander
 
 COMPUTED_THIN = "COMPUTED_THIN"
@@ -89,6 +89,7 @@ def _certificate(
     mode: str,
     *,
     budget: int | None = None,
+    kh_f2: KhResult | None = None,
 ) -> tuple[str, dict]:
     tag = _mode_tag(mode)
     _require_knot(d)
@@ -99,17 +100,20 @@ def _certificate(
                 "closed-form certificate only covers recognized twisted templates"
             )
         return FORMULA_THIN, {"certificate_basis": "template family closed form", "template_n": n}
-    try:
-        result = kh_homology(d, F2, budget=budget)
-    except BudgetError as err:
-        return ABSENT, {
-            "certificate_basis": "computation refused",
-            "reason": str(err),
-            "needed": err.needed,
-            "budget": err.budget,
-        }
-    reduced = reduced_f2_dims(result)
-    report = is_thin(result)
+    if kh_f2 is None:
+        try:
+            kh_f2 = kh_homology(d, F2, budget=budget)
+        except BudgetError as err:
+            return ABSENT, {
+                "certificate_basis": "computation refused",
+                "reason": str(err),
+                "needed": err.needed,
+                "budget": err.budget,
+            }
+    elif kh_f2.field != F2:
+        raise ValueError(f"the certificate needs F2 homology, got {kh_f2.field}")
+    reduced = reduced_f2_dims(kh_f2)
+    report = is_thin(kh_f2)
     details = {
         "certificate_basis": "computed F2 homology",
         "kh_field": F2,
@@ -180,6 +184,7 @@ def ccc_verdict(
     mode: str = COMPUTE,
     *,
     budget: int | None = None,
+    kh_f2: KhResult | None = None,
 ) -> ObstructionVerdict:
     """Run the full obstruction on one knot diagram.
 
@@ -189,9 +194,11 @@ def ccc_verdict(
     group order, otherwise something upstream is broken and we raise.
     Certificate refusals (budget, non-thin homology) surface as an
     ABSENT certificate and an INCONCLUSIVE verdict with the reason in
-    the evidence, not as exceptions.
+    the evidence, not as exceptions.  A caller that already holds the F2
+    homology of ``d`` passes it as ``kh_f2``; COMPUTE mode then reuses it
+    instead of running the scan again.
     """
-    cert, details = _certificate(d, mode, budget=budget)
+    cert, details = _certificate(d, mode, budget=budget, kh_f2=kh_f2)
     h1 = h1_branched_cover(d)
     det_g = determinant_goeritz(d)
     det_a = determinant_alexander(d)

@@ -1,6 +1,11 @@
 """Classical polynomial invariants: Kauffman bracket, Jones, Alexander.
 
-The bracket is an exact state sum over all smoothings, Jones is its
+The bracket is an exact state sum over all smoothings, contracted by
+planar scanning: crossings are glued one at a time in ``scan_order``, and
+each partial smoothing is kept only as the pairing it leaves on the open
+boundary, with a histogram of A-exponents and closed loops (L. Kauffman,
+*State models and the Jones polynomial*, Topology 26 (1987); the scan is
+the one of D. Bar-Natan, arXiv:math/0606318).  Jones is the bracket's
 writhe-normalized rewrite in the quantum variable, and the Alexander
 polynomial comes from Fox calculus on the Wirtinger presentation.  Two
 Jones conventions are exposed: :func:`jones` gives the unnormalized
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import IntegerMatrix, LaurentPolynomial
-from .diagram import BudgetError, PlanarDiagram
+from .diagram import BudgetError, InvariantError, PlanarDiagram, scan_order, scan_width
 
 __all__ = [
     "BRACKET_BUDGET",
@@ -27,8 +32,8 @@ __all__ = [
     "determinant_alexander",
 ]
 
-# 2^24 smoothings is already minutes of work; refuse anything bigger.
-BRACKET_BUDGET = 24
+# A boundary of 2k points has (2k - 1)!! pairings: 14 points allow 135,135.
+BRACKET_BUDGET = 14
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -38,79 +43,97 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _smoothing_counts(d: PlanarDiagram) -> dict[tuple[int, int], int]:
-    """Histogram of (A-exponent, loop count) over all 2^c smoothings.
+# slot pairs joined by the 0-smoothing (factor A) and the 1-smoothing (A^-1)
+_SMOOTHINGS = ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2))))
 
-    A 0-smoothing (factor A) joins slots 0-1 and 2-3 of a crossing, a
-    1-smoothing (factor A^-1) joins slots 0-3 and 1-2.
+
+def _join(partner: dict[int, int], u: int, v: int) -> int:
+    """Glue an arc from edge label u to edge label v; 1 if it closes a loop.
+
+    ``partner`` maps each open label to the other end of its strand.  A label
+    already open is closed by the arc, a new one opens.
     """
-    xs = d.crossings
-    c = len(xs)
-    labels = sorted({a for x in xs for a in x})
-    index = {a: i for i, a in enumerate(labels)}
-    quads = [tuple(index[a] for a in x) for x in xs]
-    n = len(labels)
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(1 << c):
-        parent = list(range(n))
-        for ci, (s0, s1, s2, s3) in enumerate(quads):
-            if mask >> ci & 1:
-                pairs = ((s0, s3), (s1, s2))
-            else:
-                pairs = ((s0, s1), (s2, s3))
-            for a, b in pairs:
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra != rb:
-                    parent[ra] = rb
-        loops = sum(1 for i in range(n) if parent[i] == i) + d.loops
-        exp = c - 2 * mask.bit_count()
-        key = (exp, loops)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    if u == v:  # the arc meets both ends of one edge: a kink's loop
+        return 1
+    pu = partner.pop(u, u)
+    pv = partner.pop(v, v)
+    if pu == v:  # u and v were the two ends of one strand
+        return 1
+    partner[pu] = pv
+    partner[pv] = pu
+    return 0
 
 
-def kauffman_bracket(
-    d: PlanarDiagram, budget: int = BRACKET_BUDGET
-) -> LaurentPolynomial:
+def _bracket_counts(crossings, order: list[int]) -> dict[tuple[int, int], int]:
+    """Histogram of (A-exponent, closed loops) over all smoothings, by planar scanning.
+
+    Crossings are glued one at a time in ``order``.  The state maps each
+    pairing of the open boundary, as sorted (label, partner) items, to the
+    histogram of the partial smoothings that leave it; both smoothings of
+    the next crossing are glued into every state.
+    """
+    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    for i in order:
+        x = crossings[i]
+        glued: dict[tuple, dict[tuple[int, int], int]] = {}
+        for pairing, hist in states.items():
+            for step, arcs in _SMOOTHINGS:
+                partner = dict(pairing)
+                closed = sum(_join(partner, x[s], x[t]) for s, t in arcs)
+                out = glued.setdefault(tuple(sorted(partner.items())), {})
+                for (exp, loops), count in hist.items():
+                    key = (exp + step, loops + closed)
+                    out[key] = out.get(key, 0) + count
+        states = glued
+    if list(states) != [()]:
+        open_ = sorted({a for pairing in states for a, _ in pairing})
+        raise InvariantError(f"boundary {open_} left open after the last crossing")
+    return states[()]
+
+
+def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     """Bracket polynomial in the variable A, normalized to 1 on the unknot.
 
-    Each extra loop multiplies by -A^2 - A^-2.  The state sum touches all
-    2^c smoothings, so diagrams above ``budget`` crossings are refused.
+    Each extra loop multiplies by -A^2 - A^-2.  The scan's cost grows with
+    the widest boundary of ``scan_order``, so diagrams whose widest boundary
+    passes ``BRACKET_BUDGET`` points are refused before any state exists.
     """
-    c = len(d.crossings)
-    if c > budget:
-        raise BudgetError(
-            f"bracket state sum over 2^{c} smoothings exceeds the "
-            f"{budget}-crossing budget",
-            needed=c,
-            budget=budget,
-        )
-    if c == 0 and d.loops == 0:
+    if not d.crossings and d.loops == 0:
         raise ValueError("empty diagram has no bracket in the unknot-normalized convention")
+    order = scan_order(d.crossings)
+    width = scan_width(d.crossings, order)
+    if width > BRACKET_BUDGET:
+        raise BudgetError(
+            f"bracket scan needs a boundary of {width} points, past the "
+            f"{BRACKET_BUDGET}-point budget",
+            needed=width,
+            budget=BRACKET_BUDGET,
+        )
     delta = LaurentPolynomial({2: -1, -2: -1})
     powers = [LaurentPolynomial.one()]
     total = LaurentPolynomial.zero()
-    for (exp, loops), count in sorted(_smoothing_counts(d).items()):
+    for (exp, loops), count in sorted(_bracket_counts(d.crossings, order).items()):
+        loops += d.loops
         while len(powers) <= loops - 1:
             powers.append(powers[-1] * delta)
         total = total + powers[loops - 1].shift(exp) * count
     return total
 
 
-def _writhe_normalized_bracket(d: PlanarDiagram, budget: int) -> LaurentPolynomial:
+def _writhe_normalized_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     """(-A^3)^(-w) <D>: invariant of the underlying oriented link."""
     w = d.writhe()
-    f = kauffman_bracket(d, budget).shift(-3 * w)
+    f = kauffman_bracket(d).shift(-3 * w)
     return -f if w % 2 else f
 
 
-def jones(d: PlanarDiagram, budget: int = BRACKET_BUDGET) -> LaurentPolynomial:
+def jones(d: PlanarDiagram) -> LaurentPolynomial:
     """Unnormalized Jones polynomial in q; the unknot maps to q + q^-1.
 
     This convention matches the graded Euler characteristic of the
     homology layer bigrading-for-bigrading.
     """
-    f = _writhe_normalized_bracket(d, budget)
+    f = _writhe_normalized_bracket(d)
     for e, _ in f:
         if e % 2:
             raise ArithmeticError(f"bracket exponent {e} is odd; state sum is corrupt")
@@ -122,9 +145,9 @@ def jones(d: PlanarDiagram, budget: int = BRACKET_BUDGET) -> LaurentPolynomial:
     return v * LaurentPolynomial({1: 1, -1: 1})
 
 
-def jones_normalized(d: PlanarDiagram, budget: int = BRACKET_BUDGET) -> LaurentPolynomial:
+def jones_normalized(d: PlanarDiagram) -> LaurentPolynomial:
     """Jones polynomial normalized to 1 on the unknot, still in q."""
-    return jones(d, budget).exact_div(LaurentPolynomial({1: 1, -1: 1}))
+    return jones(d).exact_div(LaurentPolynomial({1: 1, -1: 1}))
 
 
 @dataclass(frozen=True)

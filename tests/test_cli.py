@@ -100,6 +100,11 @@ def test_budget_exit_3_with_partial_report(capsys, tmp_path):
     assert report["error"]["stage"] == "khovanov"
     assert report["error"]["needed"] == 24
     assert "khovanov" not in report
+    # the crossing budget governs Khovanov only: the report still has Jones
+    code = main(["invariants", "--symun", "5_2", "--n", "14", "--json", str(out)])
+    assert code == EXIT_BUDGET
+    report = json.loads(out.read_text())
+    assert report["error"]["stage"] == "khovanov" and "jones" in report
 
 
 def test_env_budget(capsys, monkeypatch):

@@ -5,8 +5,15 @@ from cube_oracle import cube_homology
 
 from symknot import bar_natan
 from symknot.algebra import BigradedDims
-from symknot.bar_natan import InvariantError, scan_homology, scan_order
-from symknot.diagram import BudgetError, PlanarDiagram, connected_sum, mirror
+from symknot.bar_natan import scan_homology
+from symknot.diagram import (
+    BudgetError,
+    InvariantError,
+    PlanarDiagram,
+    connected_sum,
+    mirror,
+    scan_order,
+)
 from symknot.fixtures import (
     braid_pd,
     figure_eight,
@@ -292,6 +299,13 @@ def test_closed_formula_matches_computation_small_n():
     assert kh_homology(kn_template(1)).dims == closed_formula_kn(1)
 
 
+def test_closed_formula_euler_matches_jones():
+    # pins the formula's Euler characteristic over the whole classical range,
+    # where the FORMULA_THIN verdicts for K_+-7, K_+-14 and K_+-28 live
+    for n in range(-28, 29):
+        assert jones(kn_template(n)) == closed_formula_kn(n).euler_poly(), n
+
+
 def test_k1_equals_10_22():
     assert kh_homology(knot_10_22()).dims == closed_formula_kn(1)
 
@@ -410,7 +424,7 @@ def test_scanning_engine_equals_cube_oracle(field):
 
 
 def test_scan_order_keeps_kn_boundary_at_six():
-    for n in range(-14, 15):
+    for n in range(-28, 29):
         crossings = kn_template(n).crossings
         open_, widest = set(), 0
         for i in scan_order(crossings):

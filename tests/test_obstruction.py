@@ -1,5 +1,6 @@
 import pytest
 
+from symknot import obstruction
 from symknot.algebra import AbelianGroup
 from symknot.fixtures import (
     figure_eight,
@@ -11,6 +12,7 @@ from symknot.fixtures import (
     unknot_zero,
 )
 from symknot.diagram import PlanarDiagram, SymmetricUnion
+from symknot.khovanov import F2, RATIONAL, kh_homology
 from symknot.obstruction import (
     ABSENT,
     CERTIFICATES,
@@ -159,6 +161,23 @@ def test_budget_refusal_is_inconclusive_with_reason():
     assert "budget" in v.evidence["reason"]
     v2 = ccc_verdict(kn_template(1), COMPUTE, budget=5)
     assert v2.l_space_certificate == ABSENT and v2.verdict == INCONCLUSIVE
+
+
+def test_precomputed_f2_homology_gives_the_same_verdict(monkeypatch):
+    cases = [kn_template(1), kn_template(0), pretzel(-2, 3, 3), unknot_zero()]
+    fresh = [ccc_verdict(d, COMPUTE) for d in cases]
+    held = [kh_homology(d, F2) for d in cases]
+    rational = kh_homology(trefoil(), RATIONAL)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the held F2 homology was computed again")
+
+    monkeypatch.setattr(obstruction, "kh_homology", refuse)
+    for d, v, kh in zip(cases, fresh, held):
+        reused = ccc_verdict(d, COMPUTE, kh_f2=kh)
+        assert reused == v and reused.evidence == v.evidence, d.name
+    with pytest.raises(ValueError, match="F2"):
+        ccc_verdict(trefoil(), COMPUTE, kh_f2=rational)
 
 
 def test_wide_knot_reason():

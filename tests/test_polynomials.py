@@ -1,7 +1,20 @@
-import pytest
+import random
 
+import pytest
+from bracket_oracle import bracket_state_sum
+from test_khovanov import EULER_CORPUS, random_braid_corpus
+
+from symknot import polynomials
 from symknot.algebra import AbelianGroup, LaurentPolynomial, cokernel
-from symknot.diagram import BudgetError, PlanarDiagram, connected_sum, mirror
+from symknot.diagram import (
+    BudgetError,
+    InvariantError,
+    PlanarDiagram,
+    connected_sum,
+    mirror,
+    scan_order,
+    scan_width,
+)
 from symknot.fixtures import (
     figure_eight,
     kn_template,
@@ -40,12 +53,55 @@ def test_bracket_base_cases():
         kauffman_bracket(PlanarDiagram([], loops=0))
 
 
-def test_bracket_budget():
-    with pytest.raises(BudgetError) as exc:
-        kauffman_bracket(figure_eight(), budget=3)
-    assert exc.value.needed == 4 and exc.value.budget == 3
-    with pytest.raises(BudgetError):
-        jones(torus_2k(25))
+def test_bracket_budget(monkeypatch):
+    # the budget bounds the widest boundary of the scan, not the crossings
+    d = figure_eight()
+    width = scan_width(d.crossings, scan_order(d.crossings))
+    monkeypatch.setattr(polynomials, "BRACKET_BUDGET", width - 1)
+    with pytest.raises(BudgetError, match=f"{width} points") as exc:
+        kauffman_bracket(d)
+    assert exc.value.needed == width and exc.value.budget == width - 1
+    monkeypatch.undo()
+    # T(2,25): 25 crossings on a boundary of 4 points, against the skein
+    # recursion J(T(2,k)) = q^4 J(T(2,k-2)) + (q - q^3) J(T(2,k-1)) from
+    # the unlink and the unknot
+    d = torus_2k(25)
+    assert scan_width(d.crossings, scan_order(d.crossings)) == 4
+    prev, cur = UNKNOT_JONES * UNKNOT_JONES, UNKNOT_JONES
+    for _ in range(2, 26):
+        prev, cur = cur, L({4: 1}) * prev + L({1: 1, 3: -1}) * cur
+    assert jones(d) == cur
+
+
+def _rational_knots(seed=2015, count=8):
+    """Seeded two-bridge knots of 8 to 14 crossings, twists of either sign."""
+    rng = random.Random(seed)
+    knots = []
+    while len(knots) < count:
+        seq = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.choice((3, 5)))]
+        d = rational_knot(seq)
+        if 8 <= d.n_crossings <= 14 and d.n_components() == 1:
+            knots.append(d)
+    return knots
+
+
+def test_bracket_scan_equals_state_sum():
+    zoo = EULER_CORPUS + [
+        knot_10_22(), pretzel(-2, 3, 3), kn_template(0), kn_template(1), kn_template(-2)
+    ]
+    for d in zoo:
+        assert kauffman_bracket(d) == bracket_state_sum(d), d.name
+    for i, d in enumerate(random_braid_corpus()):
+        assert kauffman_bracket(d) == bracket_state_sum(d), (i, d.serialize())
+    for d in _rational_knots():
+        assert kauffman_bracket(d) == bracket_state_sum(d), d.serialize()
+
+
+def test_open_bracket_boundary_raises():
+    # an edge label seen once is a corrupted PD code: the boundary never closes
+    crossings = [(1, 2, 3, 4), (4, 3, 5, 1)]
+    with pytest.raises(InvariantError, match=r"boundary \[2, 5\]"):
+        polynomials._bracket_counts(crossings, scan_order(crossings))
 
 
 def test_jones_unknots():
