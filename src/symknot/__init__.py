@@ -17,7 +17,6 @@ from .algebra import (
     BigradedDims,
     IntegerMatrix,
     LaurentPolynomial,
-    laurent_eval,
 )
 from .diagram import (
     INFINITY,
@@ -54,7 +53,6 @@ from .khovanov import (
     closed_formula_kn,
     is_thin,
     kh_homology,
-    poincare_polynomial,
     reduced_f2_dims,
     skein_consistency,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "BigradedDims",
     "IntegerMatrix",
     "LaurentPolynomial",
-    "laurent_eval",
     "INFINITY",
     "BudgetError",
     "PlanarDiagram",
@@ -120,7 +117,6 @@ __all__ = [
     "closed_formula_kn",
     "is_thin",
     "kh_homology",
-    "poincare_polynomial",
     "reduced_f2_dims",
     "skein_consistency",
     "ABSENT",

@@ -22,8 +22,6 @@ __all__ = [
     "smith_normal_form",
     "cokernel",
     "is_square_free",
-    "is_square_free_decomposition",
-    "laurent_eval",
 ]
 
 
@@ -606,16 +604,6 @@ def cokernel(matrix: IntegerMatrix) -> AbelianGroup:
     torsion = tuple(d for d in snf.diagonal if d > 1)
     free = matrix.cols - snf.rank()
     return AbelianGroup(torsion, free)
-
-
-def laurent_eval(p: LaurentPolynomial, t: int | Fraction) -> int | Fraction:
-    """Exact evaluation of ``p`` at ``t``; function form of ``p.evaluate``."""
-    return p.evaluate(t)
-
-
-def is_square_free_decomposition(g: AbelianGroup) -> bool:
-    """Function form of ``AbelianGroup.is_square_free_decomposition``."""
-    return g.is_square_free_decomposition()
 
 
 def is_square_free(n: int) -> bool:

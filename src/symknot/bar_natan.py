@@ -32,6 +32,10 @@ points remain, and the final scalar matrices pivot on any entry, through
 Fractions.  Crossing i's 0-smoothing pairs slots (0,1),(2,3) and its
 1-smoothing (0,3),(1,2), with the 1-smoothing one level up and one quantum
 step up, as in the cube of resolutions.  Only the standard library is used.
+
+The object count is the scan's cost.  Each crossing projects the count it
+is about to build, 2^(closed circles) per old object and smoothing, and a
+projection above the bound raises ``BudgetError`` before any object is made.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from .diagram import InvariantError, scan_order
+from .diagram import BudgetError, InvariantError, scan_order
 
 __all__ = ["ScanStats", "scan_homology"]
 
@@ -173,8 +177,9 @@ class _Plan:
 class _Scan:
     """The complex of the partial tangle, grown one crossing at a time."""
 
-    def __init__(self, loops: int, char2: bool):
+    def __init__(self, loops: int, char2: bool, bound: int):
         self.char2 = char2
+        self.bound = bound
         self.boundary: list[int] = []
         self.objs: dict[int, tuple[tuple, int, int]] = {}
         self.out: dict[int, dict[int, dict]] = {}
@@ -184,6 +189,7 @@ class _Scan:
         # composition plans; matchings index the current boundary, so they
         # are dropped whenever a crossing changes it
         self._vplans: dict[tuple, _Plan] = {}
+        self._check(2**loops, f"the {loops} crossingless loops")
         for eps in product((1, -1), repeat=loops):
             self._add((), sum(eps), 0)
 
@@ -194,6 +200,14 @@ class _Scan:
         self.out[i] = {}
         self.inc[i] = {}
         return i
+
+    def _check(self, projected: int, what: str) -> None:
+        if projected > self.bound:
+            raise BudgetError(
+                f"{what} would make {projected} objects, the budget is {self.bound}",
+                needed=projected,
+                budget=self.bound,
+            )
 
     def _reduce(self, mor: dict) -> dict:
         if self.char2:
@@ -289,6 +303,10 @@ class _Scan:
             return plan
 
         # new objects: every old object times both smoothings, delooped
+        self._check(
+            sum(1 << len(glue(m, s)[1]) for m, _, _ in self.objs.values() for s in (0, 1)),
+            f"crossing {self.counts['crossings'] + 1} X{list(x)}",
+        )
         half = len(free) // 2
         objs, out, inc = self.objs, self.out, self.inc
         self.objs, self.out, self.inc = {}, {}, {}
@@ -431,14 +449,15 @@ class _Scan:
         return dims
 
 
-def scan_homology(crossings, loops: int, char2: bool):
+def scan_homology(crossings, loops: int, char2: bool, bound: int):
     """Khovanov homology of a PD code before the global shifts.
 
     Returns ``({(q, r): dim}, ScanStats)`` with q = (#1 - #x) + |v| and
     r = |v| in cube terms; the caller adds n_plus - 2 n_minus to q and
-    subtracts n_minus from r.
+    subtracts n_minus from r.  A crossing that would make more than
+    ``bound`` objects raises ``BudgetError``.
     """
-    scan = _Scan(loops, char2)
+    scan = _Scan(loops, char2, bound)
     for i in scan_order(crossings):
         scan.add_crossing(tuple(crossings[i]))
     dims = scan.result()

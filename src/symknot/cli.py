@@ -12,20 +12,19 @@ Subcommands:
   pass/fail per case
 
 Exit codes: 0 success, 1 cross-check or verification failure, 2 parse
-or usage error, 3 budget exceeded (with a partial report).
+or usage error, 3 budget exceeded (with a partial report): a Khovanov
+scan would hold more than ``khovanov.KH_BUDGET`` objects, or the bracket
+scan would open more than ``polynomials.BRACKET_BUDGET`` ends.
 Reports are JSON with sorted keys, so byte-identical round trips need
 nothing beyond ``json.dumps(..., indent=2, sort_keys=True)``; timing
 fields are the only values that vary between runs.  ``kh`` and
 ``invariants`` also carry a ``stats`` block beside ``timings``: the exact
-size counters of each Khovanov scan, keyed like its timing.  The env variable
-SYMKNOT_BUDGET overrides the default Khovanov crossing budgets; the
-``--budget-crossings`` flag overrides both.
+size counters of each Khovanov scan, keyed like its timing.
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import random
 import sys
 import time
@@ -55,7 +54,7 @@ from .khovanov import (
     reduced_f2_dims,
     skein_consistency,
 )
-from .obstruction import COMPUTE, FORMULA, INCONCLUSIVE, SATISFIES_CCC, ccc_verdict
+from .obstruction import COMPUTE, COMPUTED_THIN, INCONCLUSIVE, SATISFIES_CCC, ccc_verdict
 # jones_normalized is not called here, the report divides jones' result;
 # perfbench/spans.py still traces it at this import site
 from .polynomials import alexander, determinant_alexander, jones, jones_normalized  # noqa: F401
@@ -100,26 +99,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--budget-crossings",
-        type=int,
-        default=None,
-        help="Khovanov crossing budget override (default: per-field limits)",
-    )
     p.add_argument("--json", metavar="OUT", help="write the JSON report to this file")
-
-
-def _budget(args) -> int | None:
-    if args.budget_crossings is not None:
-        return args.budget_crossings
-    env = os.environ.get("SYMKNOT_BUDGET")
-    if env is None or env == "":
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        print(f"symknot: SYMKNOT_BUDGET must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
 
 
 def _resolve_diagram(parser: argparse.ArgumentParser, args) -> PlanarDiagram:
@@ -205,7 +185,6 @@ def _partial_budget_exit(report, timer, args, stage, err) -> int:
 
 def cmd_invariants(parser, args) -> int:
     d = _resolve_diagram(parser, args)
-    budget = _budget(args)
     fields = [_FIELD_FLAG[args.field]] if args.field else [RATIONAL, F2]
     timer = _Timer()
     checks: dict[str, bool] = {}
@@ -255,7 +234,7 @@ def cmd_invariants(parser, args) -> int:
         results = {}
         for field in fields:
             results[field] = timer.homology(
-                f"khovanov_{field}", lambda f=field: kh_homology(d, f, budget=budget)
+                f"khovanov_{field}", lambda f=field: kh_homology(d, f)
             )
             reduced = reduced_f2_dims(results[field]) if field == F2 else None
             report["khovanov"][field] = _kh_section(results[field], reduced)
@@ -271,7 +250,7 @@ def cmd_invariants(parser, args) -> int:
             stage = "verdict"
             verdict = timer.run(
                 stage,
-                lambda: ccc_verdict(d, COMPUTE, budget=budget, kh_f2=results.get(F2)),
+                lambda: ccc_verdict(d, COMPUTE, kh_f2=results.get(F2)),
             )
             report["verdict"] = {
                 "verdict": verdict.verdict,
@@ -304,7 +283,6 @@ def cmd_symun(parser, args) -> int:
 
 def cmd_kh(parser, args) -> int:
     d = _resolve_diagram(parser, args)
-    budget = _budget(args)
     field = _FIELD_FLAG[args.field or "q"]
     timer = _Timer()
     report = {
@@ -314,7 +292,7 @@ def cmd_kh(parser, args) -> int:
         "field": field,
     }
     try:
-        result = timer.homology("khovanov", lambda: kh_homology(d, field, budget=budget))
+        result = timer.homology("khovanov", lambda: kh_homology(d, field))
     except BudgetError as err:
         return _partial_budget_exit(report, timer, args, "khovanov", err)
     reduced = reduced_f2_dims(result) if field == F2 else None
@@ -401,15 +379,23 @@ def _row(criterion, case, ok, expected, got):
     }
 
 
+def _kh(ctx, d, field):
+    """Kh(d) over ``field``, computed once per verify-paper run."""
+    key = (d, field)
+    if key not in ctx["kh"]:
+        ctx["kh"][key] = kh_homology(d, field)
+    return ctx["kh"][key]
+
+
 def _check_kh52(ctx):
-    result = kh_homology(knot_5_2(), RATIONAL)
+    result = _kh(ctx, knot_5_2(), RATIONAL)
     got = result.dims.dims
     yield _row("kh52", "Kh(5_2;Q)", got == KH_52_TABLE, KH_52_TABLE, got)
 
 
 def _check_kh(ctx):
-    for n in ctx["n_range"] or range(-6, 7):
-        result = kh_homology(kn_template(n), RATIONAL, budget=ctx["budget"])
+    for n in ctx["n_range"] or range(-28, 29):
+        result = _kh(ctx, kn_template(n), RATIONAL)
         want = closed_formula_kn(n)
         yield _row(
             "kh", f"Kh(K_{n};Q) == closed formula", result.dims == want,
@@ -421,9 +407,9 @@ def _check_kh(ctx):
 
 
 def _check_khf2(ctx):
-    for n in ctx["n_range"] or range(-10, 11):
+    for n in ctx["n_range"] or range(-28, 29):
         d = kn_template(n)
-        result = kh_homology(d, F2, budget=ctx["budget"])
+        result = _kh(ctx, d, F2)
         report = is_thin(result)
         yield _row("khf2", f"K_{n} F2 thin", report.thin, True, report.diagonals)
         red = reduced_f2_dims(result).total_rank()
@@ -466,21 +452,20 @@ def _check_identify(ctx):
     k1, ten = kn_template(1), knot_10_22()
     jk, jt = jones(k1), jones(ten)
     yield _row("identify", "jones(K_1) == jones(10_22)", jk == jt, jt.format("q"), jk.format("q"))
-    kk = kh_homology(k1, RATIONAL).dims
-    kt = kh_homology(ten, RATIONAL).dims
+    kk = _kh(ctx, k1, RATIONAL).dims
+    kt = _kh(ctx, ten, RATIONAL).dims
     yield _row("identify", "Kh(K_1;Q) == Kh(10_22;Q)", kk == kt, kt.poincare(), kk.poincare())
     want = closed_formula_kn(1)
     yield _row("identify", "Kh(10_22;Q) == formula(1)", kt == want, want.poincare(), kt.poincare())
 
 
 def _check_ccc(ctx):
-    for n in (7, -7, 14, -14, 21, -21, 28, -28):
-        v = ccc_verdict(kn_template(n), FORMULA)
-        yield _row("ccc", f"K_{n}", v.verdict == SATISFIES_CCC, SATISFIES_CCC, v.verdict)
-    for n in range(1, 7):
-        mode = COMPUTE if n <= 4 else FORMULA
-        v = ccc_verdict(kn_template(n), mode)
-        yield _row("ccc", f"K_{n}", v.verdict == INCONCLUSIVE, INCONCLUSIVE, v.verdict)
+    for n in (7, -7, 14, -14, 21, -21, 28, -28, 1, 2, 3, 4, 5, 6):
+        d = kn_template(n)
+        v = ccc_verdict(d, COMPUTE, kh_f2=_kh(ctx, d, F2))
+        want = (SATISFIES_CCC if n % 7 == 0 else INCONCLUSIVE, COMPUTED_THIN)
+        got = (v.verdict, v.l_space_certificate)
+        yield _row("ccc", f"K_{n}", got == want, want, got)
 
 
 def _check_skein(ctx):
@@ -531,15 +516,15 @@ def _check_snf(ctx):
 
 def _check_euler(ctx):
     for d in _property_corpus():
-        got = kh_homology(d, RATIONAL).dims.euler_poly()
+        got = _kh(ctx, d, RATIONAL).dims.euler_poly()
         want = jones(d)
         yield _row("euler", d.name or d.serialize(), got == want, want.format("q"), got.format("q"))
 
 
 def _check_mirror(ctx):
     for d in _property_corpus():
-        got = kh_homology(mirror(d), RATIONAL).dims
-        want = kh_homology(d, RATIONAL).dims.reflect()
+        got = _kh(ctx, mirror(d), RATIONAL).dims
+        want = _kh(ctx, d, RATIONAL).dims.reflect()
         yield _row("mirror", d.name or d.serialize(), got == want, want.poincare(), got.poincare())
 
 
@@ -595,8 +580,8 @@ def cmd_verify_paper(parser, args) -> int:
             parser.error(f"unknown criteria {unknown}; pick from {sorted(CRITERIA)}")
     ctx = {
         "n_range": _parse_n_range(args.n_range, parser),
-        "budget": _budget(args),
         "seed": args.seed,
+        "kh": {},
     }
     rows = []
     for name in names:

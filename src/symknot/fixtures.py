@@ -125,16 +125,6 @@ def knot_10_22() -> PlanarDiagram:
 # -- geometric wire builder --------------------------------------------------
 
 
-def _emit(
-    xs: list[tuple[tuple[int, int, int, int], bool]],
-    unions: list[tuple[int, int]],
-    n_wires: int,
-    name: str | None,
-) -> PlanarDiagram:
-    """Corner-wired crossings to PD code; see ``assemble_corners``."""
-    return assemble_corners(xs, unions, n_wires, name)
-
-
 def braid_pd(
     word: list[int],
     strands: int,
@@ -182,7 +172,7 @@ def braid_pd(
             unions += [(ends[p], ends[q]) for p, q in caps]
     else:
         raise ValueError("give both cap lists or neither")
-    return _emit(xs, unions, n_wires, name)
+    return assemble_corners(xs, unions, n_wires, name)
 
 
 def torus_2k(k: int) -> PlanarDiagram:
@@ -242,4 +232,4 @@ def rational_knot(seq: list[int], name: str | None = None) -> PlanarDiagram:
                 xs.append(((sw, se, new_sw, new_se), a > 0))
                 sw, se = new_sw, new_se
     unions = [(nw, ne), (sw, se)]
-    return _emit(xs, unions, n_wires, name or f"rational{tuple(seq)}")
+    return assemble_corners(xs, unions, n_wires, name or f"rational{tuple(seq)}")

@@ -16,7 +16,9 @@ for every sign convention in this module.
 (``symknot.bar_natan``): crossings are added one at a time, closed circles
 are delooped and identity entries cancelled after each one, so the complex
 stays a few hundred objects wide instead of growing with the 2^c vertices
-of the cube.  The cube of resolutions itself stays as an inspection hook:
+of the cube.  Its one budget, ``KH_BUDGET``, bounds that object count: the
+scan refuses a crossing that would build more objects, before building
+them.  The cube of resolutions itself stays as an inspection hook:
 ``build_cube`` and ``slice_complex`` give the generators and raw
 differentials of one q-slice.
 """
@@ -43,7 +45,6 @@ __all__ = [
     "SkeinReport",
     "build_cube",
     "kh_homology",
-    "poincare_polynomial",
     "is_thin",
     "closed_formula_kn",
     "reduced_f2_dims",
@@ -55,7 +56,9 @@ RATIONAL = "Q"
 F2 = "F2"
 
 CUBE_BUDGET = 20
-KH_BUDGET = {RATIONAL: 16, F2: 20}
+# objects of the scan's complex: K_n peaks at 414 for |n| <= 100, the closure
+# of (s1 s2^-1)^10 at 90,750 (about 150 MB); (s1 s2^-1)^12 is refused
+KH_BUDGET = 100_000
 
 _FIELD_ALIASES = {
     "q": RATIONAL,
@@ -298,22 +301,14 @@ class KhResult:
         return self.dims.poincare()
 
 
-def kh_homology(
-    d: PlanarDiagram,
-    field: str = RATIONAL,
-    *,
-    budget: int | None = None,
-) -> KhResult:
-    """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning."""
+def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
+    """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning.
+
+    Raises ``BudgetError`` when the scan would hold more than ``KH_BUDGET``
+    objects.
+    """
     tag = _field_tag(field)
-    limit = KH_BUDGET[tag] if budget is None else budget
-    if d.n_crossings > limit:
-        raise BudgetError(
-            f"{d.n_crossings} crossings exceed the homology budget {limit}",
-            needed=d.n_crossings,
-            budget=limit,
-        )
-    raw, stats = scan_homology(d.crossings, d.loops, char2=tag == F2)
+    raw, stats = scan_homology(d.crossings, d.loops, tag == F2, KH_BUDGET)
     n_plus, n_minus = d.n_plus, d.n_minus
     shift = n_plus - 2 * n_minus
     dims = {(q + shift, r - n_minus): dim for (q, r), dim in raw.items()}
@@ -325,13 +320,7 @@ def kh_homology(
     )
 
 
-def slice_complex(
-    d: PlanarDiagram,
-    q: int,
-    field: str = RATIONAL,
-    *,
-    budget: int | None = None,
-):
+def slice_complex(d: PlanarDiagram, q: int, field: str = RATIONAL):
     """Generators and raw differentials of one q-slice, keyed by u.
 
     Inspection hook: returns (gens, mats) where gens[u] lists (vertex,
@@ -339,19 +328,13 @@ def slice_complex(
     u + 1.  Used by the d-squared spot checks.
     """
     tag = _field_tag(field)
-    limit = KH_BUDGET[tag] if budget is None else budget
-    cube = build_cube(d, budget=limit)
+    cube = build_cube(d)
     n_minus = d.n_minus
     levels, index = _slice_levels(cube, q, d.n_plus - 2 * n_minus)
     mats = _slice_matrices(cube, levels, index, tag == F2)
     gens = {r - n_minus: list(g) for r, g in levels.items()}
     diffs = {r - n_minus: cols for r, cols in mats.items()}
     return gens, diffs
-
-
-def poincare_polynomial(result: KhResult) -> BigradedDims:
-    """The dimension table itself; render with ``.poincare()``."""
-    return result.dims
 
 
 @dataclass(frozen=True)
@@ -457,13 +440,7 @@ class SkeinReport:
         return self.rank_inequality_ok and self.euler_additive
 
 
-def skein_consistency(
-    d: PlanarDiagram,
-    crossing: int,
-    field: str = RATIONAL,
-    *,
-    budget: int | None = None,
-) -> SkeinReport:
+def skein_consistency(d: PlanarDiagram, crossing: int, field: str = RATIONAL) -> SkeinReport:
     """Check the skein triangle relating ``d`` and its two resolutions.
 
     The middle homology is bounded per bigrading by the two shifted
@@ -480,9 +457,9 @@ def skein_consistency(
         shift_a, shift_b = (2 + 3 * eps, 1 + eps), (1, 0)
     else:
         shift_a, shift_b = (1 + 3 * eps, eps), (-1, 0)
-    kh_d = kh_homology(d, field, budget=budget)
-    kh_a = kh_homology(unoriented, field, budget=budget)
-    kh_b = kh_homology(oriented, field, budget=budget)
+    kh_d = kh_homology(d, field)
+    kh_a = kh_homology(unoriented, field)
+    kh_b = kh_homology(oriented, field)
     shifted_a = kh_a.dims.shift(*shift_a)
     shifted_b = kh_b.dims.shift(*shift_b)
     rank_ok = all(

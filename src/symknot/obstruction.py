@@ -84,13 +84,7 @@ def recognize_template(d: PlanarDiagram) -> int | None:
     return None
 
 
-def _certificate(
-    d: PlanarDiagram,
-    mode: str,
-    *,
-    budget: int | None = None,
-    kh_f2: KhResult | None = None,
-) -> tuple[str, dict]:
+def _certificate(d: PlanarDiagram, mode: str, kh_f2: KhResult | None = None) -> tuple[str, dict]:
     tag = _mode_tag(mode)
     _require_knot(d)
     if tag == FORMULA:
@@ -102,7 +96,7 @@ def _certificate(
         return FORMULA_THIN, {"certificate_basis": "template family closed form", "template_n": n}
     if kh_f2 is None:
         try:
-            kh_f2 = kh_homology(d, F2, budget=budget)
+            kh_f2 = kh_homology(d, F2)
         except BudgetError as err:
             return ABSENT, {
                 "certificate_basis": "computation refused",
@@ -126,12 +120,7 @@ def _certificate(
     return ABSENT, details
 
 
-def l_space_certificate(
-    d: PlanarDiagram,
-    mode: str = COMPUTE,
-    *,
-    budget: int | None = None,
-) -> str:
+def l_space_certificate(d: PlanarDiagram, mode: str = COMPUTE) -> str:
     """Certify that the branched double cover is an L-space.
 
     COMPUTE mode runs F2 Khovanov homology, the reduced-peeling
@@ -141,7 +130,7 @@ def l_space_certificate(
     so consumers can filter on provenance.  A refused or failed
     computation yields ABSENT, never an exception.
     """
-    cert, _ = _certificate(d, mode, budget=budget)
+    cert, _ = _certificate(d, mode)
     return cert
 
 
@@ -183,7 +172,6 @@ def ccc_verdict(
     d: PlanarDiagram,
     mode: str = COMPUTE,
     *,
-    budget: int | None = None,
     kh_f2: KhResult | None = None,
 ) -> ObstructionVerdict:
     """Run the full obstruction on one knot diagram.
@@ -198,7 +186,7 @@ def ccc_verdict(
     homology of ``d`` passes it as ``kh_f2``; COMPUTE mode then reuses it
     instead of running the scan again.
     """
-    cert, details = _certificate(d, mode, budget=budget, kh_f2=kh_f2)
+    cert, details = _certificate(d, mode, kh_f2)
     h1 = h1_branched_cover(d)
     det_g = determinant_goeritz(d)
     det_a = determinant_alexander(d)

@@ -274,27 +274,6 @@ def _laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     return -out if sign < 0 else out
 
 
-def _minor_scan(rows, det, zero):
-    """First nonzero determinant over single row/column deletions.
-
-    For a knot group the first elementary ideal is principal, so every
-    nonzero maximal minor agrees up to units; scanning replaces a gcd.
-    """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    for i in range(n_rows):
-        for j in range(n_cols):
-            minor = [
-                [row[jj] for jj in range(n_cols) if jj != j]
-                for ii, row in enumerate(rows)
-                if ii != i
-            ]
-            value = det(minor)
-            if value != zero:
-                return value
-    return zero
-
-
 def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     """Alexander polynomial, normalized so D(t) = D(1/t) and D(1) = 1."""
     if d.n_components() != 1:
@@ -303,12 +282,10 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
         return LaurentPolynomial.one()
     pres = wirtinger(d)
     rows = _fox_rows_laurent(pres)
-    square = [row[1:] for row in rows[1:]]
-    det = _laurent_det(square)
+    det = _laurent_det([row[1:] for row in rows[1:]])
     if not det:
-        det = _minor_scan(rows, _laurent_det, LaurentPolynomial.zero())
-        if not det:
-            return LaurentPolynomial.zero()
+        # every first minor of a knot's Fox matrix is +-t^k Delta(t), never 0
+        raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")
     return _normalize_alexander(det)
 
 
@@ -336,8 +313,8 @@ def determinant_alexander(d: PlanarDiagram) -> int:
         return 1
     pres = wirtinger(d)
     rows = _fox_rows_at_minus_one(pres)
-    square = IntegerMatrix([row[1:] for row in rows[1:]])
-    det = square.determinant()
+    det = IntegerMatrix([row[1:] for row in rows[1:]]).determinant()
     if det == 0:
-        det = _minor_scan(rows, lambda m: IntegerMatrix(m).determinant() if m else 1, 0)
+        # the minor is +-Delta(-1), which is odd for a knot
+        raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished at t = -1")
     return abs(det)

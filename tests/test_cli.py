@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from test_khovanov import record_complex_sizes
 
+from symknot import cli, khovanov, obstruction
 from symknot.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
 from symknot.diagram import parse_pd
 from symknot.fixtures import kn_template
@@ -91,34 +93,24 @@ def test_parse_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-def test_budget_exit_3_with_partial_report(capsys, tmp_path):
+def test_budget_exit_3_with_partial_report(capsys, tmp_path, monkeypatch):
+    sizes = record_complex_sizes(monkeypatch)
+    monkeypatch.setattr(khovanov, "KH_BUDGET", 100)
     out = tmp_path / "partial.json"
     code = main(["kh", "--symun", "5_2", "--n", "14", "--json", str(out)])
     assert code == EXIT_BUDGET
     report = json.loads(out.read_text())
     assert report["error"]["type"] == "budget"
     assert report["error"]["stage"] == "khovanov"
-    assert report["error"]["needed"] == 24
+    assert report["error"]["needed"] > report["error"]["budget"] == 100
     assert "khovanov" not in report
-    # the crossing budget governs Khovanov only: the report still has Jones
+    # the Khovanov budget governs Khovanov only: the report still has Jones
     code = main(["invariants", "--symun", "5_2", "--n", "14", "--json", str(out)])
     assert code == EXIT_BUDGET
     report = json.loads(out.read_text())
     assert report["error"]["stage"] == "khovanov" and "jones" in report
-
-
-def test_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SYMKNOT_BUDGET", "2")
-    assert main(["kh", "--knot", "trefoil"]) == EXIT_BUDGET
-    capsys.readouterr()
-    # explicit flag wins over the environment
-    assert main(["kh", "--knot", "trefoil", "--budget-crossings", "5"]) == EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setenv("SYMKNOT_BUDGET", "three")
-    with pytest.raises(SystemExit) as err:
-        main(["kh", "--knot", "trefoil"])
-    assert err.value.code == EXIT_PARSE
-    capsys.readouterr()
+    assert report["error"]["needed"] > 100
+    assert max(sizes) <= 100
 
 
 def test_symun_emission(capsys):
@@ -203,6 +195,28 @@ def test_verify_paper_bad_flags(capsys):
         main(["verify-paper", "--only", "h1", "--n-range", "3..-3"])
     assert err.value.code == EXIT_PARSE
     capsys.readouterr()
+
+
+def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
+    calls = []
+    compute = cli.kh_homology
+
+    def counted(d, field):
+        calls.append((d, field))
+        return compute(d, field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ccc recomputed F2 homology that verify-paper holds")
+
+    monkeypatch.setattr(cli, "kh_homology", counted)
+    monkeypatch.setattr(obstruction, "kh_homology", refuse)
+    argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,euler,mirror", "--n-range", "-3..3"]
+    assert main(argv) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    # K_-3..K_3 over both fields; ccc adds K_4..K_6 and K_+-7k over F2; the
+    # 16 corpus diagrams (5_2 and 10_22 among them) add 13 over Q past K_0
+    # and K_+-1, and their mirrors 10 past the 6 the corpus holds
+    assert len(calls) == len(set(calls)) == 7 + 7 + 11 + 13 + 10
 
 
 def test_verify_paper_json(capsys, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 from cube_oracle import cube_homology
 
-from symknot import bar_natan
+from symknot import bar_natan, khovanov
 from symknot.algebra import BigradedDims
 from symknot.bar_natan import scan_homology
 from symknot.diagram import (
@@ -38,7 +38,6 @@ from symknot.khovanov import (
     closed_formula_kn,
     is_thin,
     kh_homology,
-    poincare_polynomial,
     reduced_f2_dims,
     skein_consistency,
     slice_complex,
@@ -126,16 +125,48 @@ def test_cube_k1_has_2048_vertices():
     assert merges + splits == 11 * 1024
 
 
-def test_budget_guards():
-    assert KH_BUDGET == {RATIONAL: 16, F2: 20}
+def record_complex_sizes(monkeypatch):
+    """Make every object the scan adds append the size of its complex to a list."""
+    sizes = [0]
+    add = bar_natan._Scan._add
+
+    def counted(self, *args):
+        out = add(self, *args)
+        sizes.append(len(self.objs))
+        return out
+
+    monkeypatch.setattr(bar_natan._Scan, "_add", counted)
+    return sizes
+
+
+def test_budget_guards(monkeypatch):
+    assert KH_BUDGET == 100_000
     with pytest.raises(BudgetError) as err:
         build_cube(kn_template(1), budget=10)
     assert err.value.needed == 11
     assert err.value.budget == 10
-    with pytest.raises(BudgetError):
-        kh_homology(kn_template(1), budget=5)
-    # override upward works
-    assert kh_homology(trefoil(), budget=3).dims.dims == KH_TREFOIL
+    # the projection is exact: the scan's peak is admitted, one less is not,
+    # and the refusal names the peak
+    peak = kh_homology(kn_template(3)).stats.max_objects_before
+    monkeypatch.setattr(khovanov, "KH_BUDGET", peak)
+    assert kh_homology(kn_template(3)).dims == closed_formula_kn(3)
+    monkeypatch.setattr(khovanov, "KH_BUDGET", peak - 1)
+    with pytest.raises(BudgetError, match="crossing") as err:
+        kh_homology(kn_template(3))
+    assert err.value.needed == peak and err.value.budget == peak - 1
+    # the refusal comes before the objects exist
+    sizes = record_complex_sizes(monkeypatch)
+    monkeypatch.setattr(khovanov, "KH_BUDGET", 100)
+    for field in (RATIONAL, F2):
+        with pytest.raises(BudgetError) as err:
+            kh_homology(kn_template(14), field)
+        assert err.value.needed > err.value.budget == 100
+    assert max(sizes) <= 100
+    # crossingless loops deloop into 2^loops objects
+    with pytest.raises(BudgetError, match="loops") as err:
+        kh_homology(PlanarDiagram([], loops=7))
+    assert err.value.needed == 128 and max(sizes) <= 100
+    assert kh_homology(trefoil()).dims.dims == KH_TREFOIL
 
 
 def test_unknots_and_unlink():
@@ -159,7 +190,6 @@ def test_52_matches_published_table():
     r = kh_homology(knot_5_2())
     assert r.dims.dims == KH_52
     assert r.poincare() == "q + q^3 + q^3*u + q^5*u^2 + q^7*u^2 + q^9*u^3 + q^9*u^4 + q^13*u^5"
-    assert poincare_polynomial(r) == r.dims
     report = is_thin(r)
     assert report and report.diagonals == (1, 3)
 
@@ -469,13 +499,13 @@ def test_neck_cutting_rules():
 def test_open_boundary_after_last_crossing_raises():
     # an edge label seen once is a corrupted PD code: the tangle never closes
     with pytest.raises(InvariantError, match="boundary"):
-        scan_homology([(1, 2, 3, 4)], 0, char2=True)
+        scan_homology([(1, 2, 3, 4)], 0, True, KH_BUDGET)
 
 
 def test_glued_entry_of_wrong_degree_raises():
     # the unknot's two delooped summands, q = +1 and q = -1, joined by a
     # scalar: that map has degree 0, not the 2 its shifts imply
-    scan = bar_natan._Scan(1, char2=False)
+    scan = bar_natan._Scan(1, False, KH_BUDGET)
     top, bottom = scan.objs
     scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
     with pytest.raises(InvariantError, match="degree"):

@@ -1,6 +1,7 @@
 import pytest
+from test_khovanov import record_complex_sizes
 
-from symknot import obstruction
+from symknot import khovanov, obstruction
 from symknot.algebra import AbelianGroup
 from symknot.fixtures import (
     figure_eight,
@@ -35,8 +36,8 @@ def test_certificate_modes():
     assert l_space_certificate(unknot_zero()) == COMPUTED_THIN
     assert l_space_certificate(kn_template(14), FORMULA) == FORMULA_THIN
     assert l_space_certificate(kn_template(-7), "FORMULA") == FORMULA_THIN
-    # 24 crossings cannot be computed honestly, only cited
-    assert l_space_certificate(kn_template(14), COMPUTE) == ABSENT
+    # 24 crossings: the scan computes what the formula cites
+    assert l_space_certificate(kn_template(14), COMPUTE) == COMPUTED_THIN
     with pytest.raises(ValueError):
         l_space_certificate(trefoil(), FORMULA)
     with pytest.raises(ValueError):
@@ -152,14 +153,18 @@ def test_k0_flagged_composite():
     assert not ccc_verdict(knot_5_2()).evidence["composite_suspected"]
 
 
-def test_budget_refusal_is_inconclusive_with_reason():
+def test_budget_refusal_is_inconclusive_with_reason(monkeypatch):
+    sizes = record_complex_sizes(monkeypatch)
+    monkeypatch.setattr(khovanov, "KH_BUDGET", 100)
+    assert l_space_certificate(kn_template(14), COMPUTE) == ABSENT
     v = ccc_verdict(kn_template(14), COMPUTE)
     assert v.l_space_certificate == ABSENT
     assert v.verdict == INCONCLUSIVE
     assert v.square_free  # the homology side was fine, only the certificate failed
-    assert v.evidence["needed"] == 24
+    assert v.evidence["needed"] > v.evidence["budget"] == 100
     assert "budget" in v.evidence["reason"]
-    v2 = ccc_verdict(kn_template(1), COMPUTE, budget=5)
+    assert max(sizes) <= 100
+    v2 = ccc_verdict(kn_template(1), COMPUTE)
     assert v2.l_space_certificate == ABSENT and v2.verdict == INCONCLUSIVE
 
 

@@ -226,6 +226,21 @@ def test_alexander_squares_on_even_family():
     assert alexander(kn_template(1)) != square
 
 
+def test_vanishing_fox_minor_raises(monkeypatch):
+    # a knot's first Fox minor is +-t^k Delta(t), never 0: only a corrupted
+    # Fox matrix, here with a zero column inside the minor, can make it vanish
+    for name in ("_fox_rows_laurent", "_fox_rows_at_minus_one"):
+        rows = getattr(polynomials, name)
+        monkeypatch.setattr(
+            polynomials, name,
+            lambda pres, rows=rows: [[r[0], r[1] - r[1], *r[2:]] for r in rows(pres)],
+        )
+    with pytest.raises(InvariantError, match="Fox minor of 5_2"):
+        alexander(knot_5_2())
+    with pytest.raises(InvariantError, match="t = -1"):
+        determinant_alexander(knot_5_2())
+
+
 def test_alexander_rejects_links():
     with pytest.raises(ValueError):
         alexander(two_unlink())
