@@ -549,11 +549,13 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
                 if m[i + 1][i + 1] < 0:
                     negate_row(i + 1)
 
-    diag = tuple(m[i][i] for i in range(limit))
+    # from a list: tuple(<generator>) resizes its tuple, and without a full
+    # collection that leaves CPython's tuple free lists growing call by call
+    diag = tuple([m[i][i] for i in range(limit)])
     return SmithForm(diag, IntegerMatrix(u), IntegerMatrix(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianGroup:
     """A finitely generated abelian group in invariant-factor form.
 
@@ -601,7 +603,7 @@ class AbelianGroup:
 def cokernel(matrix: IntegerMatrix) -> AbelianGroup:
     """Cokernel of the presentation: columns index generators, rows give relations."""
     snf = smith_normal_form(matrix)
-    torsion = tuple(d for d in snf.diagonal if d > 1)
+    torsion = tuple([d for d in snf.diagonal if d > 1])
     free = matrix.cols - snf.rank()
     return AbelianGroup(torsion, free)
 

@@ -28,6 +28,7 @@ import json
 import random
 import sys
 import time
+from functools import partial
 
 from .algebra import IntegerMatrix, LaurentPolynomial, smith_normal_form
 from .diagram import BudgetError, PdError, PlanarDiagram, mirror, parse_pd
@@ -470,7 +471,7 @@ def _check_ccc(ctx):
 
 def _check_skein(ctx):
     k2 = kn_template(2)
-    rep = skein_consistency(k2, k2.site.interior[0])
+    rep = skein_consistency(k2, k2.site.interior[0], homology=partial(_kh, ctx))
     yield _row("skein", "epsilon at the K_2 twist", rep.epsilon == 0, 0, rep.epsilon)
     yield _row("skein", "rank inequality", rep.rank_inequality_ok, True, rep.rank_inequality_ok)
     yield _row("skein", "Euler additivity", rep.euler_additive, True, rep.euler_additive)

@@ -205,8 +205,10 @@ class PlanarDiagram:
     def signs(self) -> tuple[int, ...]:
         """Crossing signs: positive when the over-strand enters at slot 3."""
         if "signs" not in self._cache:
+            # from a list: tuple(<generator>) resizes its tuple, and without a full
+            # collection that leaves CPython's tuple free lists growing call by call
             self._cache["signs"] = tuple(
-                1 if self.over_in_slot(ci) == 3 else -1 for ci in range(len(self.crossings))
+                [1 if self.over_in_slot(ci) == 3 else -1 for ci in range(len(self.crossings))]
             )
         return self._cache["signs"]  # type: ignore[return-value]
 

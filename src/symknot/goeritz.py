@@ -88,8 +88,10 @@ def checkerboard(d: PlanarDiagram, white_class: int | None = None) -> Checkerboa
             white_class = 1 - parity[0]
         else:
             white_class = 0 if zeros < ones else 1
-    colors = tuple(1 if p == white_class else 0 for p in parity)
-    white = tuple(fi for fi, c in enumerate(colors) if c == 1)
+    # from a list: tuple(<generator>) resizes its tuple, and without a full
+    # collection that leaves CPython's tuple free lists growing call by call
+    colors = tuple([1 if p == white_class else 0 for p in parity])
+    white = tuple([fi for fi, c in enumerate(colors) if c == 1])
     return CheckerboardColoring(colors, white)
 
 

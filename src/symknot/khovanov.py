@@ -26,6 +26,7 @@ differentials of one q-slice.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -440,15 +441,25 @@ class SkeinReport:
         return self.rank_inequality_ok and self.euler_additive
 
 
-def skein_consistency(d: PlanarDiagram, crossing: int, field: str = RATIONAL) -> SkeinReport:
+def skein_consistency(
+    d: PlanarDiagram,
+    crossing: int,
+    field: str = RATIONAL,
+    *,
+    homology: Callable[[PlanarDiagram, str], KhResult] | None = None,
+) -> SkeinReport:
     """Check the skein triangle relating ``d`` and its two resolutions.
 
     The middle homology is bounded per bigrading by the two shifted
     resolutions, and the three graded Euler characteristics add exactly.
     The unoriented resolution is shifted by (2 + 3e, 1 + e) at a positive
     crossing and (1 + 3e, e) at a negative one, where e is the change in
-    negative crossing count; the oriented one by (sign, 0).
+    negative crossing count; the oriented one by (sign, 0).  The three
+    groups come from ``homology(diagram, field)``, by default
+    :func:`kh_homology`; a caller that keeps its own results, as
+    ``verify-paper`` does, passes its lookup instead.
     """
+    homology = homology or kh_homology
     sign = d.signs()[crossing]
     unoriented = resolve_crossing(d, crossing, 1 if sign > 0 else 0)
     oriented = resolve_crossing(d, crossing, 0 if sign > 0 else 1)
@@ -457,9 +468,9 @@ def skein_consistency(d: PlanarDiagram, crossing: int, field: str = RATIONAL) ->
         shift_a, shift_b = (2 + 3 * eps, 1 + eps), (1, 0)
     else:
         shift_a, shift_b = (1 + 3 * eps, eps), (-1, 0)
-    kh_d = kh_homology(d, field)
-    kh_a = kh_homology(unoriented, field)
-    kh_b = kh_homology(oriented, field)
+    kh_d = homology(d, field)
+    kh_a = homology(unoriented, field)
+    kh_b = homology(oriented, field)
     shifted_a = kh_a.dims.shift(*shift_a)
     shifted_b = kh_b.dims.shift(*shift_b)
     rank_ok = all(

@@ -148,7 +148,7 @@ def decide_verdict(certificate: str, h1: AbelianGroup) -> str:
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObstructionVerdict:
     """Outcome of the obstruction with the evidence that produced it."""
 

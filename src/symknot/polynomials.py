@@ -6,16 +6,25 @@ each partial smoothing is kept only as the pairing it leaves on the open
 boundary, with a histogram of A-exponents and closed loops (L. Kauffman,
 *State models and the Jones polynomial*, Topology 26 (1987); the scan is
 the one of D. Bar-Natan, arXiv:math/0606318).  Jones is the bracket's
-writhe-normalized rewrite in the quantum variable, and the Alexander
-polynomial comes from Fox calculus on the Wirtinger presentation.  Two
-Jones conventions are exposed: :func:`jones` gives the unnormalized
-polynomial whose value on the unknot is q + q^-1 (the one that matches
-graded Euler characteristics of the homology layer), and
-:func:`jones_normalized` divides that unknot factor out.
+writhe-normalized rewrite in the quantum variable.  The Alexander
+polynomial is the determinant of a first minor of the Fox matrix of the
+Wirtinger presentation, whose entries, each row shifted by a power of t,
+are c0 + c1 t.  Kronecker substitution makes it one integer determinant:
+the minor is evaluated at t = 2^b, with 2^b past twice the product of the
+relator lengths (4^m for an m x m minor), which bounds the rows'
+coefficient 1-norms and so every coefficient of the determinant; the
+integer Bareiss elimination of ``IntegerMatrix`` takes the determinant,
+and its signed base-2^b digits are the coefficients.  The same minor at
+t = -1 gives the knot determinant.  Two Jones conventions are exposed:
+:func:`jones` gives the unnormalized polynomial whose value on the
+unknot is q + q^-1 (the one that matches graded Euler characteristics of
+the homology layer), and :func:`jones_normalized` divides that unknot
+factor out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import IntegerMatrix, LaurentPolynomial
@@ -204,74 +213,39 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
         else:
             word = ((under_out, 1), (over, -1), (under_in, -1), (over, 1))
         relators.append(word)
-    gens = tuple(f"x{g + 1}" for g in range(len(roots)))
+    # from a list: tuple(<generator>) resizes its tuple, and without a full
+    # collection that leaves CPython's tuple free lists growing call by call
+    gens = tuple([f"x{g + 1}" for g in range(len(roots))])
     return WirtingerPresentation(
         gens, tuple(relators), tuple(sorted((lab, arc[lab]) for lab in labels))
     )
 
 
-def _fox_rows_laurent(pres: WirtingerPresentation) -> list[list[LaurentPolynomial]]:
-    """Fox derivatives of each relator at the abelianization generator t."""
-    g = len(pres.generators)
+def _fox_minor(pres: WirtingerPresentation, t: int) -> IntegerMatrix:
+    """First Fox minor (first relator and generator deleted) at the integer t.
+
+    Each relator's Fox derivatives are shifted by the power of t that makes
+    their lowest exponent 0, so every entry is c0 + c1 t and the minor's
+    determinant is +-t^k Delta(t): the Alexander normalization re-centres
+    it, and |Delta(-1)| ignores the shift.
+    """
     rows = []
-    for word in pres.relators:
-        row = [dict() for _ in range(g)]
+    for word in pres.relators[1:]:
+        terms = []
         prefix = 0  # running exponent of t
         for gen, e in word:
             if e == 1:
-                row[gen][prefix] = row[gen].get(prefix, 0) + 1
+                terms.append((gen, prefix, 1))
                 prefix += 1
             else:
                 prefix -= 1
-                row[gen][prefix] = row[gen].get(prefix, 0) - 1
-        rows.append([LaurentPolynomial(cell) for cell in row])
-    return rows
-
-
-def _fox_rows_at_minus_one(pres: WirtingerPresentation) -> list[list[int]]:
-    """Fox derivative rows evaluated at t = -1; stays in integers."""
-    g = len(pres.generators)
-    rows = []
-    for word in pres.relators:
-        row = [0] * g
-        sign = 1  # (-1)^prefix
-        for gen, e in word:
-            if e == 1:
-                row[gen] += sign
-                sign = -sign
-            else:
-                sign = -sign
-                row[gen] -= sign
-        rows.append(row)
-    return rows
-
-
-def _laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Fraction-free Bareiss determinant over the Laurent ring."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPolynomial.one()
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = LaurentPolynomial.one()
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPolynomial.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            head = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - head * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPolynomial.zero()
-        prev = pivot
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
+                terms.append((gen, prefix, -1))
+        low = min(k for _, k, _ in terms)
+        row = [0] * len(pres.generators)
+        for gen, k, c in terms:
+            row[gen] += c * t ** (k - low)
+        rows.append(row[1:])
+    return IntegerMatrix(rows)
 
 
 def alexander(d: PlanarDiagram) -> LaurentPolynomial:
@@ -281,27 +255,40 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     if len(d.crossings) <= 1:
         return LaurentPolynomial.one()
     pres = wirtinger(d)
-    rows = _fox_rows_laurent(pres)
-    det = _laurent_det([row[1:] for row in rows[1:]])
-    if not det:
+    # a Fox row has coefficient 1-norm at most its relator's length, and
+    # every coefficient of the minor's determinant at most their product
+    bound = math.prod(len(word) for word in pres.relators[1:])
+    b = (2 * bound).bit_length()
+    value = _fox_minor(pres, 1 << b).determinant()
+    if value == 0:
         # every first minor of a knot's Fox matrix is +-t^k Delta(t), never 0
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")
-    return _normalize_alexander(det)
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    digits = []  # value = sum of digits[k] * 2^(bk), each |digit| < 2^(b-1)
+    while value:
+        digits.append(((value + half) & mask) - half)
+        value = (value - digits[-1]) >> b
+    return _normalize_alexander(LaurentPolynomial(enumerate(digits)))
 
 
 def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
+    """Centre +-t^k Delta(t) and fix its sign so that D(1) = 1.
+
+    A knot's Delta is symmetric of even breadth with Delta(1) = +-1; a
+    determinant, or a decode of one, that breaks this raises.
+    """
     low = p.min_exp()
     span = p.max_exp() - low
     if span % 2:
-        raise ArithmeticError(f"Alexander determinant has odd breadth: {p!r}")
+        raise InvariantError(f"Alexander determinant has odd breadth: {p!r}")
     centered = p.shift(-low - span // 2)
     if centered != centered.mirror():
-        raise ArithmeticError(f"Alexander determinant is not symmetric: {p!r}")
+        raise InvariantError(f"Alexander determinant is not symmetric: {p!r}")
     at_one = centered.evaluate(1)
     if at_one == -1:
         centered = -centered
     elif at_one != 1:
-        raise ArithmeticError(f"Alexander determinant has |D(1)| = {abs(at_one)}, not 1")
+        raise InvariantError(f"Alexander determinant has |D(1)| = {abs(at_one)}, not 1")
     return centered
 
 
@@ -311,9 +298,7 @@ def determinant_alexander(d: PlanarDiagram) -> int:
         raise ValueError("knot determinant needs a one-component diagram")
     if len(d.crossings) <= 1:
         return 1
-    pres = wirtinger(d)
-    rows = _fox_rows_at_minus_one(pres)
-    det = IntegerMatrix([row[1:] for row in rows[1:]]).determinant()
+    det = _fox_minor(wirtinger(d), -1).determinant()
     if det == 0:
         # the minor is +-Delta(-1), which is odd for a knot
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished at t = -1")

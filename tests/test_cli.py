@@ -210,13 +210,14 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "kh_homology", counted)
     monkeypatch.setattr(obstruction, "kh_homology", refuse)
-    argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,euler,mirror", "--n-range", "-3..3"]
+    argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,skein,euler,mirror", "--n-range", "-3..3"]
     assert main(argv) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
-    # K_-3..K_3 over both fields; ccc adds K_4..K_6 and K_+-7k over F2; the
-    # 16 corpus diagrams (5_2 and 10_22 among them) add 13 over Q past K_0
-    # and K_+-1, and their mirrors 10 past the 6 the corpus holds
-    assert len(calls) == len(set(calls)) == 7 + 7 + 11 + 13 + 10
+    # K_-3..K_3 over both fields; ccc adds K_4..K_6 and K_+-7k over F2; skein
+    # adds over Q the oriented resolution of K_2 (its unoriented one is K_1);
+    # the 16 corpus diagrams (5_2 and 10_22 among them) add 13 over Q past
+    # K_0 and K_+-1, and their mirrors 10 past the 6 the corpus holds
+    assert len(calls) == len(set(calls)) == 7 + 7 + 11 + 1 + 13 + 10
 
 
 def test_verify_paper_json(capsys, tmp_path):

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from alexander_oracle import alexander_laurent
 from bracket_oracle import bracket_state_sum
 from test_khovanov import EULER_CORPUS, random_braid_corpus
 
 from symknot import polynomials
-from symknot.algebra import AbelianGroup, LaurentPolynomial, cokernel
+from symknot.algebra import AbelianGroup, IntegerMatrix, LaurentPolynomial, cokernel
 from symknot.diagram import (
     BudgetError,
     InvariantError,
@@ -29,6 +30,7 @@ from symknot.fixtures import (
     unknot_r2,
     unknot_zero,
 )
+from symknot.goeritz import determinant_goeritz, h1_branched_cover
 from symknot.polynomials import (
     alexander,
     determinant_alexander,
@@ -73,14 +75,17 @@ def test_bracket_budget(monkeypatch):
     assert jones(d) == cur
 
 
-def _rational_knots(seed=2015, count=8):
-    """Seeded two-bridge knots of 8 to 14 crossings, twists of either sign."""
+def _rational_knots(seed=2015, count=8, most=14):
+    """Seeded two-bridge knots of 8 to ``most`` crossings, twists of either sign."""
     rng = random.Random(seed)
     knots = []
     while len(knots) < count:
-        seq = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.choice((3, 5)))]
+        left, seq = rng.randint(8, most), []
+        while left:
+            seq.append(rng.choice((1, -1)) * rng.randint(1, min(4, left)))
+            left -= abs(seq[-1])
         d = rational_knot(seq)
-        if 8 <= d.n_crossings <= 14 and d.n_components() == 1:
+        if len(seq) % 2 and d.n_components() == 1:
             knots.append(d)
     return knots
 
@@ -226,19 +231,66 @@ def test_alexander_squares_on_even_family():
     assert alexander(kn_template(1)) != square
 
 
+def test_alexander_equals_laurent_oracle():
+    zoo = EULER_CORPUS + [
+        knot_10_22(), pretzel(-2, 3, 3), kn_template(0), kn_template(1), kn_template(-2)
+    ]
+    knots = [d for d in zoo + random_braid_corpus() if d.n_components() == 1]
+    knots += _rational_knots(seed=5, count=10, most=40)
+    assert max(d.n_crossings for d in knots) > 30
+    for d in knots:
+        p = alexander(d)
+        assert p == alexander_laurent(d), d.serialize()
+        assert p == p.mirror() and p.evaluate(1) == 1, d.serialize()
+        dets = (abs(p.evaluate(-1)), determinant_alexander(d), determinant_goeritz(d))
+        assert dets == (h1_branched_cover(d).order(),) * 3, d.serialize()
+
+
+def test_alexander_of_twist_knots():
+    # the twist knot [1, 1, m] has Delta = k t - (2k - 1) + k t^-1 for m = 2k - 1
+    # and -k t + (2k + 1) - k t^-1 for m = 2k, on a minor of m + 1 rows
+    for k in (1, 2, 3, 5, 10, 25, 50):
+        assert alexander(rational_knot([1, 1, 2 * k - 1])) == L({1: k, 0: 1 - 2 * k, -1: k})
+        assert alexander(rational_knot([1, 1, 2 * k])) == L({1: -k, 0: 2 * k + 1, -1: -k})
+
+
+def _corrupt_first_row(monkeypatch, corrupt):
+    """Make ``_fox_minor`` return ``corrupt(first row, t)`` in place of its first row."""
+    monkeypatch.undo()
+    minor = polynomials._fox_minor
+
+    def corrupted(pres, t):
+        first, *rest = minor(pres, t).to_lists()
+        return IntegerMatrix([corrupt(first, t), *rest])
+
+    monkeypatch.setattr(polynomials, "_fox_minor", corrupted)
+
+
 def test_vanishing_fox_minor_raises(monkeypatch):
     # a knot's first Fox minor is +-t^k Delta(t), never 0: only a corrupted
-    # Fox matrix, here with a zero column inside the minor, can make it vanish
-    for name in ("_fox_rows_laurent", "_fox_rows_at_minus_one"):
-        rows = getattr(polynomials, name)
-        monkeypatch.setattr(
-            polynomials, name,
-            lambda pres, rows=rows: [[r[0], r[1] - r[1], *r[2:]] for r in rows(pres)],
-        )
+    # Fox matrix, here with a zero row, can make it vanish
+    _corrupt_first_row(monkeypatch, lambda row, t: [0] * len(row))
     with pytest.raises(InvariantError, match="Fox minor of 5_2"):
         alexander(knot_5_2())
     with pytest.raises(InvariantError, match="t = -1"):
         determinant_alexander(knot_5_2())
+
+
+def test_corrupted_fox_minor_raises(monkeypatch):
+    # a minor that is not +-t^k Delta(t) of a knot decodes to a polynomial the
+    # normalization refuses, never to a wrong Alexander polynomial
+    d = knot_10_22()
+    _corrupt_first_row(monkeypatch, lambda row, t: [3 * x for x in row])
+    with pytest.raises(InvariantError, match=r"\|D\(1\)\| = 3"):
+        alexander(d)
+    assert determinant_alexander(d) == 3 * 49
+    _corrupt_first_row(monkeypatch, lambda row, t: [2, *row[1:]])
+    with pytest.raises(InvariantError, match="Alexander determinant"):
+        alexander(d)
+    # a row shifted by a power of t is the same minor up to +-t^k
+    _corrupt_first_row(monkeypatch, lambda row, t: [x * t**5 for x in row])
+    assert alexander(d) == L({2: 2, 1: -12, 0: 21, -1: -12, -2: 2})
+    assert determinant_alexander(d) == 49
 
 
 def test_alexander_rejects_links():
