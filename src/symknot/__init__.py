@@ -67,7 +67,6 @@ from .obstruction import (
     ObstructionVerdict,
     ccc_verdict,
     decide_verdict,
-    l_space_certificate,
     recognize_template,
 )
 from .polynomials import (
@@ -129,7 +128,6 @@ __all__ = [
     "ObstructionVerdict",
     "ccc_verdict",
     "decide_verdict",
-    "l_space_certificate",
     "recognize_template",
     "WirtingerPresentation",
     "alexander",

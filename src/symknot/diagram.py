@@ -13,6 +13,7 @@ and never stored by the caller.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -80,6 +81,24 @@ class InvariantError(RuntimeError):
     """An internal invariant of an invariant engine failed: a bug or corrupted input."""
 
 
+def memoized(fn):
+    """Run the stage ``fn(d, *args)`` once per diagram.
+
+    The value is kept in ``d``'s cache under ``(fn, *args)``, so a second
+    call returns the same object.  A call that raises stores nothing: a
+    refused or failed stage runs again when it is asked for again.
+    """
+
+    @functools.wraps(fn)
+    def stage(d, *args):
+        key = (fn, *args)
+        if key not in d._cache:
+            d._cache[key] = fn(d, *args)
+        return d._cache[key]
+
+    return stage
+
+
 _TOKEN = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$|O$")
 
 IN = 1
@@ -109,7 +128,7 @@ class PlanarDiagram:
         self.loops = int(loops)
         self.name = name
         self._validate_arcs()
-        self._cache: dict[str, object] = {}
+        self._cache: dict[tuple, object] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -144,6 +163,7 @@ class PlanarDiagram:
 
     # -- orientation -------------------------------------------------------
 
+    @memoized
     def orientation(self) -> dict[tuple[int, int], int]:
         """Map (crossing, slot) -> IN or OUT, derived by propagation.
 
@@ -152,8 +172,6 @@ class PlanarDiagram:
         slots of one crossing.  Components never passing under anything get a
         deterministic fallback direction.
         """
-        if "orient" in self._cache:
-            return self._cache["orient"]  # type: ignore[return-value]
         apps = self.appearances()
         status: dict[tuple[int, int], int] = {}
         for ci in range(len(self.crossings)):
@@ -195,22 +213,20 @@ class PlanarDiagram:
             pos = min(unassigned)
             status[pos] = IN
             queue.append(pos)
-        self._cache["orient"] = status
         return status
 
     def over_in_slot(self, ci: int) -> int:
         """The over-strand's incoming slot (1 or 3) at crossing ``ci``."""
         return 1 if self.orientation()[(ci, 1)] == IN else 3
 
+    @memoized
     def signs(self) -> tuple[int, ...]:
         """Crossing signs: positive when the over-strand enters at slot 3."""
-        if "signs" not in self._cache:
-            # from a list: tuple(<generator>) resizes its tuple, and without a full
-            # collection that leaves CPython's tuple free lists growing call by call
-            self._cache["signs"] = tuple(
-                [1 if self.over_in_slot(ci) == 3 else -1 for ci in range(len(self.crossings))]
-            )
-        return self._cache["signs"]  # type: ignore[return-value]
+        # from a list: tuple(<generator>) resizes its tuple, and without a full
+        # collection that leaves CPython's tuple free lists growing call by call
+        return tuple(
+            [1 if self.over_in_slot(ci) == 3 else -1 for ci in range(len(self.crossings))]
+        )
 
     @property
     def n_plus(self) -> int:
@@ -274,6 +290,7 @@ class PlanarDiagram:
             parent[find(c1)] = find(c2)
         return len({find(i) for i in range(len(self.crossings))}) == 1
 
+    @memoized
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
         """Complementary regions as cycles of edge-ends (crossing, slot).
 
@@ -281,13 +298,9 @@ class PlanarDiagram:
         rotate counterclockwise to the next slot.  For a connected diagram the
         face count must satisfy crossings - edges + faces = 2.
         """
-        if "faces" in self._cache:
-            return self._cache["faces"]  # type: ignore[return-value]
         if not self.crossings:
             if self.loops == 1:
-                faces: list[tuple[tuple[int, int], ...]] = [(), ()]
-                self._cache["faces"] = faces
-                return faces
+                return [(), ()]
             raise DiagramStructureError("faces need a connected diagram")
         if not self.is_connected():
             raise DiagramStructureError("faces need a connected diagram")
@@ -318,7 +331,6 @@ class PlanarDiagram:
             raise DiagramStructureError(
                 f"rotation system is not planar: crossings - edges + faces = {euler}"
             )
-        self._cache["faces"] = faces
         return faces
 
     def face_of_corner(self) -> dict[tuple[int, int], int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AbelianGroup, IntegerMatrix, cokernel
-from .diagram import DiagramStructureError, PlanarDiagram
+from .diagram import DiagramStructureError, InvariantError, PlanarDiagram, memoized
 
 __all__ = [
     "CheckerboardColoring",
@@ -135,6 +135,7 @@ def _both_classes(d: PlanarDiagram) -> tuple[GoeritzData, GoeritzData]:
     )
 
 
+@memoized
 def determinant_goeritz(d: PlanarDiagram) -> int:
     """|det G|; the two color classes must agree."""
     if d.n_components() != 1:
@@ -142,10 +143,11 @@ def determinant_goeritz(d: PlanarDiagram) -> int:
     a, b = _both_classes(d)
     da, db = abs(a.goeritz.determinant()), abs(b.goeritz.determinant())
     if da != db:
-        raise AssertionError(f"color classes disagree on the determinant: {da} vs {db}")
+        raise InvariantError(f"color classes disagree on the determinant: {da} vs {db}")
     return da
 
 
+@memoized
 def h1_branched_cover(d: PlanarDiagram) -> AbelianGroup:
     """H1 of the double cover branched over the knot, from the Goeritz form."""
     if d.n_components() != 1:
@@ -153,5 +155,5 @@ def h1_branched_cover(d: PlanarDiagram) -> AbelianGroup:
     a, b = _both_classes(d)
     ga, gb = cokernel(a.goeritz), cokernel(b.goeritz)
     if ga != gb:
-        raise AssertionError(f"color classes disagree on H1: {ga} vs {gb}")
+        raise InvariantError(f"color classes disagree on H1: {ga} vs {gb}")
     return ga

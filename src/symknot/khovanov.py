@@ -32,7 +32,7 @@ from itertools import combinations
 
 from .algebra import BigradedDims
 from .bar_natan import ScanStats, scan_homology
-from .diagram import BudgetError, InvariantError, PlanarDiagram, resolve_crossing
+from .diagram import BudgetError, InvariantError, PlanarDiagram, memoized, resolve_crossing
 
 __all__ = [
     "RATIONAL",
@@ -305,10 +305,15 @@ class KhResult:
 def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
     """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning.
 
+    The scan runs once per diagram and field, however the field is spelled.
     Raises ``BudgetError`` when the scan would hold more than ``KH_BUDGET``
     objects.
     """
-    tag = _field_tag(field)
+    return _kh_homology(d, _field_tag(field))
+
+
+@memoized
+def _kh_homology(d: PlanarDiagram, tag: str) -> KhResult:
     raw, stats = scan_homology(d.crossings, d.loops, tag == F2, KH_BUDGET)
     n_plus, n_minus = d.n_plus, d.n_minus
     shift = n_plus - 2 * n_minus

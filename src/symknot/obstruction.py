@@ -20,10 +20,10 @@ condition failed, never that a cosmetic crossing change exists.
 from dataclasses import dataclass, field
 
 from .algebra import AbelianGroup
-from .diagram import BudgetError, PlanarDiagram, SymmetricUnion
+from .diagram import BudgetError, InvariantError, PlanarDiagram, SymmetricUnion
 from .fixtures import kn_template
 from .goeritz import determinant_goeritz, h1_branched_cover
-from .khovanov import F2, KhResult, is_thin, kh_homology, reduced_f2_dims
+from .khovanov import F2, is_thin, kh_homology, reduced_f2_dims
 from .polynomials import determinant_alexander
 
 COMPUTED_THIN = "COMPUTED_THIN"
@@ -49,7 +49,6 @@ __all__ = [
     "ObstructionVerdict",
     "ccc_verdict",
     "decide_verdict",
-    "l_space_certificate",
     "recognize_template",
 ]
 
@@ -84,7 +83,7 @@ def recognize_template(d: PlanarDiagram) -> int | None:
     return None
 
 
-def _certificate(d: PlanarDiagram, mode: str, kh_f2: KhResult | None = None) -> tuple[str, dict]:
+def _certificate(d: PlanarDiagram, mode: str) -> tuple[str, dict]:
     tag = _mode_tag(mode)
     _require_knot(d)
     if tag == FORMULA:
@@ -94,20 +93,17 @@ def _certificate(d: PlanarDiagram, mode: str, kh_f2: KhResult | None = None) -> 
                 "closed-form certificate only covers recognized twisted templates"
             )
         return FORMULA_THIN, {"certificate_basis": "template family closed form", "template_n": n}
-    if kh_f2 is None:
-        try:
-            kh_f2 = kh_homology(d, F2)
-        except BudgetError as err:
-            return ABSENT, {
-                "certificate_basis": "computation refused",
-                "reason": str(err),
-                "needed": err.needed,
-                "budget": err.budget,
-            }
-    elif kh_f2.field != F2:
-        raise ValueError(f"the certificate needs F2 homology, got {kh_f2.field}")
-    reduced = reduced_f2_dims(kh_f2)
-    report = is_thin(kh_f2)
+    try:
+        kh = kh_homology(d, F2)
+    except BudgetError as err:
+        return ABSENT, {
+            "certificate_basis": "computation refused",
+            "reason": str(err),
+            "needed": err.needed,
+            "budget": err.budget,
+        }
+    reduced = reduced_f2_dims(kh)
+    report = is_thin(kh)
     details = {
         "certificate_basis": "computed F2 homology",
         "kh_field": F2,
@@ -118,20 +114,6 @@ def _certificate(d: PlanarDiagram, mode: str, kh_f2: KhResult | None = None) -> 
         return COMPUTED_THIN, details
     details["reason"] = f"homology is not thin: diagonals {report.diagonals}"
     return ABSENT, details
-
-
-def l_space_certificate(d: PlanarDiagram, mode: str = COMPUTE) -> str:
-    """Certify that the branched double cover is an L-space.
-
-    COMPUTE mode runs F2 Khovanov homology, the reduced-peeling
-    consistency check, and the two-diagonal thinness test.  FORMULA mode
-    accepts only diagrams recognized as the twisted template family and
-    certifies without computing; the two outcomes stay distinguishable
-    so consumers can filter on provenance.  A refused or failed
-    computation yields ABSENT, never an exception.
-    """
-    cert, _ = _certificate(d, mode)
-    return cert
 
 
 def decide_verdict(certificate: str, h1: AbelianGroup) -> str:
@@ -168,34 +150,31 @@ class ObstructionVerdict:
             raise ValueError("verdict contradicts certificate and square-free flag")
 
 
-def ccc_verdict(
-    d: PlanarDiagram,
-    mode: str = COMPUTE,
-    *,
-    kh_f2: KhResult | None = None,
-) -> ObstructionVerdict:
+def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
     """Run the full obstruction on one knot diagram.
 
+    COMPUTE mode certifies the L-space cover when F2 Khovanov homology is
+    thin (COMPUTED_THIN); FORMULA mode accepts only recognized twisted
+    templates and certifies them without computing (FORMULA_THIN).
     Evidence always carries the homology invariant factors and two
     independent determinant computations (Goeritz minor and Alexander
     polynomial at -1); those must agree with each other and with the
-    group order, otherwise something upstream is broken and we raise.
-    Certificate refusals (budget, non-thin homology) surface as an
-    ABSENT certificate and an INCONCLUSIVE verdict with the reason in
-    the evidence, not as exceptions.  A caller that already holds the F2
-    homology of ``d`` passes it as ``kh_f2``; COMPUTE mode then reuses it
-    instead of running the scan again.
+    group order, otherwise something upstream is broken and we raise
+    InvariantError.  Certificate refusals (budget, non-thin homology)
+    surface as an ABSENT certificate and an INCONCLUSIVE verdict with
+    the reason in the evidence, not as exceptions.  Each stage is
+    memoised on ``d``, so stages a caller already ran are not rerun.
     """
-    cert, details = _certificate(d, mode, kh_f2)
+    cert, details = _certificate(d, mode)
     h1 = h1_branched_cover(d)
     det_g = determinant_goeritz(d)
     det_a = determinant_alexander(d)
     if det_g != det_a:
-        raise ArithmeticError(
+        raise InvariantError(
             f"determinant channels disagree: Goeritz {det_g}, Alexander {det_a}"
         )
     if h1.free_rank == 0 and h1.order() != det_g:
-        raise ArithmeticError(
+        raise InvariantError(
             f"homology order {h1.order()} does not match determinant {det_g}"
         )
     square_free = h1.free_rank == 0 and h1.is_square_free_decomposition()

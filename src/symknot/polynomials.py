@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import IntegerMatrix, LaurentPolynomial
-from .diagram import BudgetError, InvariantError, PlanarDiagram, scan_order, scan_width
+from .diagram import BudgetError, InvariantError, PlanarDiagram, memoized, scan_order, scan_width
 
 __all__ = [
     "BRACKET_BUDGET",
@@ -136,6 +136,7 @@ def _writhe_normalized_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     return -f if w % 2 else f
 
 
+@memoized
 def jones(d: PlanarDiagram) -> LaurentPolynomial:
     """Unnormalized Jones polynomial in q; the unknot maps to q + q^-1.
 
@@ -145,7 +146,7 @@ def jones(d: PlanarDiagram) -> LaurentPolynomial:
     f = _writhe_normalized_bracket(d)
     for e, _ in f:
         if e % 2:
-            raise ArithmeticError(f"bracket exponent {e} is odd; state sum is corrupt")
+            raise InvariantError(f"bracket exponent {e} is odd; state sum is corrupt")
     # substitute sqrt(t) -> -q; the sign only matters for even-component
     # links, where the bracket exponents sit in 2 mod 4
     v = LaurentPolynomial(
@@ -248,6 +249,7 @@ def _fox_minor(pres: WirtingerPresentation, t: int) -> IntegerMatrix:
     return IntegerMatrix(rows)
 
 
+@memoized
 def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     """Alexander polynomial, normalized so D(t) = D(1/t) and D(1) = 1."""
     if d.n_components() != 1:
@@ -292,6 +294,7 @@ def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
     return centered
 
 
+@memoized
 def determinant_alexander(d: PlanarDiagram) -> int:
     """|D(-1)|, computed directly in integers from the Fox matrix."""
     if d.n_components() != 1:

@@ -8,8 +8,10 @@ where the expectation includes one.
 """
 
 import random
+import re
 import time
 from functools import lru_cache
+from pathlib import Path
 
 from symknot.algebra import IntegerMatrix, LaurentPolynomial, smith_normal_form
 from symknot.diagram import mirror
@@ -68,13 +70,17 @@ def _timed(fn):
 
 
 @lru_cache(maxsize=None)
+def _kn(n):
+    """One K_n object per n, so its memoised stages are shared between tests."""
+    return kn_template(n)
+
+
 def _kn_q(n):
-    return _timed(lambda: kh_homology(kn_template(n), RATIONAL))
+    return _timed(lambda: kh_homology(_kn(n), RATIONAL))
 
 
-@lru_cache(maxsize=None)
 def _kn_f2(n):
-    return _timed(lambda: kh_homology(kn_template(n), F2))
+    return _timed(lambda: kh_homology(_kn(n), F2))
 
 
 def test_criterion_1_kh_52_exact():
@@ -141,7 +147,7 @@ def test_criterion_8_ccc_verdicts():
         assert v.l_space_certificate == FORMULA_THIN, n
     # the computed certificate agrees with the cited one wherever it is cited
     for n in (7, -7, 14, -14, 21, -21, 28, -28, 1, 2, 3, 4, 5, 6):
-        v = ccc_verdict(kn_template(n), COMPUTE, kh_f2=_kn_f2(n)[0])
+        v = ccc_verdict(_kn(n), COMPUTE)
         assert v.verdict == (SATISFIES_CCC if n % 7 == 0 else INCONCLUSIVE), n
         assert v.l_space_certificate == COMPUTED_THIN, n
 
@@ -222,6 +228,19 @@ def test_criterion_10_determinants_agree_corpuswide():
         h1 = h1_branched_cover(d)
         assert dg == da, d.name
         assert h1.free_rank == 0 and h1.order() == dg, d.name
+
+
+def test_readme_library_tour_prints_what_it_claims(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    # each print in the tour claims its output in the comment after it
+    claimed = [
+        line.split("#", 1)[1].split(":")[0].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert claimed and capsys.readouterr().out.splitlines() == claimed
 
 
 def test_suite_stays_inside_ten_minutes():

@@ -3,13 +3,15 @@ import subprocess
 import sys
 
 import pytest
-from test_khovanov import record_complex_sizes
+from test_khovanov import count_calls, record_complex_sizes
 
-from symknot import cli, khovanov, obstruction
+from symknot import goeritz, khovanov, polynomials
 from symknot.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
 from symknot.diagram import parse_pd
 from symknot.fixtures import kn_template
-from symknot.polynomials import jones
+from symknot.goeritz import determinant_goeritz, h1_branched_cover
+from symknot.khovanov import F2, RATIONAL, kh_homology
+from symknot.polynomials import alexander, determinant_alexander, jones
 
 KH52_POINCARE = "q + q^3 + q^3*u + q^5*u^2 + q^7*u^2 + q^9*u^3 + q^9*u^4 + q^13*u^5"
 
@@ -198,18 +200,8 @@ def test_verify_paper_bad_flags(capsys):
 
 
 def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
-    calls = []
-    compute = cli.kh_homology
-
-    def counted(d, field):
-        calls.append((d, field))
-        return compute(d, field)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("ccc recomputed F2 homology that verify-paper holds")
-
-    monkeypatch.setattr(cli, "kh_homology", counted)
-    monkeypatch.setattr(obstruction, "kh_homology", refuse)
+    # one call per scan: (crossings, loops, over F2, budget)
+    calls = count_calls(monkeypatch, khovanov, "scan_homology")
     argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,skein,euler,mirror", "--n-range", "-3..3"]
     assert main(argv) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
@@ -218,6 +210,38 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
     # the 16 corpus diagrams (5_2 and 10_22 among them) add 13 over Q past
     # K_0 and K_+-1, and their mirrors 10 past the 6 the corpus holds
     assert len(calls) == len(set(calls)) == 7 + 7 + 11 + 1 + 13 + 10
+
+
+def test_invariants_runs_each_stage_once(capsys, monkeypatch):
+    engines = ((khovanov, "scan_homology"), (goeritz, "_both_classes"),
+               (polynomials, "_fox_minor"), (polynomials, "_bracket_counts"))
+    calls = {name: count_calls(monkeypatch, module, name) for module, name in engines}
+    assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
+    capsys.readouterr()
+    # two scans (Q, F2), two Goeritz channels (H1, det), two Fox minors
+    # (Alexander, det), one bracket; the verdict reuses all of them
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {"scan_homology": 2, "_both_classes": 2, "_fox_minor": 2,
+                      "_bracket_counts": 1}
+    d = kn_template(3)
+    stages = [
+        lambda: kh_homology(d, RATIONAL),
+        lambda: kh_homology(d, F2),
+        lambda: kh_homology(d, "f2"),
+        lambda: h1_branched_cover(d),
+        lambda: determinant_goeritz(d),
+        lambda: alexander(d),
+        lambda: determinant_alexander(d),
+        lambda: jones(d),
+        d.orientation,
+        d.signs,
+        d.faces,
+    ]
+    first = [stage() for stage in stages]
+    assert first[1] is first[2]
+    counts = {name: len(c) for name, c in calls.items()}
+    assert all(stage() is held for stage, held in zip(stages, first))
+    assert {name: len(c) for name, c in calls.items()} == counts
 
 
 def test_verify_paper_json(capsys, tmp_path):

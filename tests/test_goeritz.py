@@ -1,7 +1,8 @@
 import pytest
 
 from symknot.algebra import AbelianGroup, IntegerMatrix, cokernel, smith_normal_form
-from symknot.diagram import DiagramStructureError
+from symknot import goeritz
+from symknot.diagram import DiagramStructureError, InvariantError
 from symknot.fixtures import (
     figure_eight,
     kn_template,
@@ -168,6 +169,24 @@ def test_rejects_links():
         determinant_goeritz(torus_2k(2))
     with pytest.raises(ValueError):
         h1_branched_cover(two_unlink())
+
+
+def _mismatch_colour_classes(monkeypatch):
+    """Pair each diagram's first colour class with the figure eight's second."""
+    both = goeritz._both_classes
+    monkeypatch.setattr(goeritz, "_both_classes", lambda d: (both(d)[0], both(figure_eight())[1]))
+
+
+def test_colour_classes_disagreeing_on_the_determinant_raise(monkeypatch):
+    _mismatch_colour_classes(monkeypatch)
+    with pytest.raises(InvariantError, match="determinant: 3 vs 5"):
+        determinant_goeritz(trefoil())
+
+
+def test_colour_classes_disagreeing_on_h1_raise(monkeypatch):
+    _mismatch_colour_classes(monkeypatch)
+    with pytest.raises(InvariantError, match="H1"):
+        h1_branched_cover(trefoil())
 
 
 if __name__ == "__main__":

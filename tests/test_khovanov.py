@@ -125,6 +125,19 @@ def test_cube_k1_has_2048_vertices():
     assert merges + splits == 11 * 1024
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def record_complex_sizes(monkeypatch):
     """Make every object the scan adds append the size of its complex to a list."""
     sizes = [0]

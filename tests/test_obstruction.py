@@ -1,8 +1,9 @@
 import pytest
-from test_khovanov import record_complex_sizes
+from test_khovanov import count_calls, record_complex_sizes
 
 from symknot import khovanov, obstruction
 from symknot.algebra import AbelianGroup
+from symknot.diagram import InvariantError
 from symknot.fixtures import (
     figure_eight,
     kn_template,
@@ -13,7 +14,7 @@ from symknot.fixtures import (
     unknot_zero,
 )
 from symknot.diagram import PlanarDiagram, SymmetricUnion
-from symknot.khovanov import F2, RATIONAL, kh_homology
+from symknot.khovanov import F2, kh_homology
 from symknot.obstruction import (
     ABSENT,
     CERTIFICATES,
@@ -26,31 +27,30 @@ from symknot.obstruction import (
     ObstructionVerdict,
     ccc_verdict,
     decide_verdict,
-    l_space_certificate,
     recognize_template,
 )
 
 
 def test_certificate_modes():
-    assert l_space_certificate(knot_5_2()) == COMPUTED_THIN
-    assert l_space_certificate(unknot_zero()) == COMPUTED_THIN
-    assert l_space_certificate(kn_template(14), FORMULA) == FORMULA_THIN
-    assert l_space_certificate(kn_template(-7), "FORMULA") == FORMULA_THIN
+    assert ccc_verdict(knot_5_2()).l_space_certificate == COMPUTED_THIN
+    assert ccc_verdict(unknot_zero()).l_space_certificate == COMPUTED_THIN
+    assert ccc_verdict(kn_template(14), FORMULA).l_space_certificate == FORMULA_THIN
+    assert ccc_verdict(kn_template(-7), "FORMULA").l_space_certificate == FORMULA_THIN
     # 24 crossings: the scan computes what the formula cites
-    assert l_space_certificate(kn_template(14), COMPUTE) == COMPUTED_THIN
+    assert ccc_verdict(kn_template(14), COMPUTE).l_space_certificate == COMPUTED_THIN
     with pytest.raises(ValueError):
-        l_space_certificate(trefoil(), FORMULA)
+        ccc_verdict(trefoil(), FORMULA)
     with pytest.raises(ValueError):
-        l_space_certificate(knot_5_2(), FORMULA)
+        ccc_verdict(knot_5_2(), FORMULA)
     with pytest.raises(ValueError):
-        l_space_certificate(knot_5_2(), "guess")
+        ccc_verdict(knot_5_2(), "guess")
     with pytest.raises(ValueError):
-        l_space_certificate(two_unlink())
+        ccc_verdict(two_unlink())
 
 
 def test_certificate_absent_for_wide_knot():
     # the (3,4) torus knot is an honest computation that is not thin
-    assert l_space_certificate(pretzel(-2, 3, 3)) == ABSENT
+    assert ccc_verdict(pretzel(-2, 3, 3)).l_space_certificate == ABSENT
 
 
 def test_recognize_template():
@@ -156,7 +156,6 @@ def test_k0_flagged_composite():
 def test_budget_refusal_is_inconclusive_with_reason(monkeypatch):
     sizes = record_complex_sizes(monkeypatch)
     monkeypatch.setattr(khovanov, "KH_BUDGET", 100)
-    assert l_space_certificate(kn_template(14), COMPUTE) == ABSENT
     v = ccc_verdict(kn_template(14), COMPUTE)
     assert v.l_space_certificate == ABSENT
     assert v.verdict == INCONCLUSIVE
@@ -169,20 +168,28 @@ def test_budget_refusal_is_inconclusive_with_reason(monkeypatch):
 
 
 def test_precomputed_f2_homology_gives_the_same_verdict(monkeypatch):
-    cases = [kn_template(1), kn_template(0), pretzel(-2, 3, 3), unknot_zero()]
-    fresh = [ccc_verdict(d, COMPUTE) for d in cases]
-    held = [kh_homology(d, F2) for d in cases]
-    rational = kh_homology(trefoil(), RATIONAL)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the held F2 homology was computed again")
-
-    monkeypatch.setattr(obstruction, "kh_homology", refuse)
-    for d, v, kh in zip(cases, fresh, held):
-        reused = ccc_verdict(d, COMPUTE, kh_f2=kh)
+    makers = [lambda: kn_template(1), lambda: kn_template(0), lambda: pretzel(-2, 3, 3), unknot_zero]
+    fresh = [ccc_verdict(make(), COMPUTE) for make in makers]
+    scans = count_calls(monkeypatch, khovanov, "scan_homology")
+    for make, v in zip(makers, fresh):
+        d = make()
+        held = kh_homology(d, F2)
+        reused = ccc_verdict(d, COMPUTE)
         assert reused == v and reused.evidence == v.evidence, d.name
-    with pytest.raises(ValueError, match="F2"):
-        ccc_verdict(trefoil(), COMPUTE, kh_f2=rational)
+        assert kh_homology(d, F2) is held
+    assert len(scans) == len(makers)
+
+
+def test_disagreeing_determinant_channels_raise(monkeypatch):
+    monkeypatch.setattr(obstruction, "determinant_alexander", lambda d: 5)
+    with pytest.raises(InvariantError, match="Goeritz 3, Alexander 5"):
+        ccc_verdict(trefoil())
+
+
+def test_h1_order_off_the_determinant_raises(monkeypatch):
+    monkeypatch.setattr(obstruction, "h1_branched_cover", lambda d: AbelianGroup((5,)))
+    with pytest.raises(InvariantError, match="homology order 5"):
+        ccc_verdict(trefoil())
 
 
 def test_wide_knot_reason():

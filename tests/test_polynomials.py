@@ -149,6 +149,13 @@ def test_jones_10_22():
     assert jones(kn_template(1)) == expected
 
 
+def test_odd_bracket_exponent_raises(monkeypatch):
+    bracket = polynomials.kauffman_bracket
+    monkeypatch.setattr(polynomials, "kauffman_bracket", lambda d: bracket(d).shift(1))
+    with pytest.raises(InvariantError, match="bracket exponent .* is odd"):
+        jones(trefoil())
+
+
 def test_jones_mirror():
     for d in (trefoil(True), knot_5_2(True), knot_10_22(), pretzel(3, 1, -3)):
         assert jones(mirror(d)) == jones(d).mirror()
@@ -278,16 +285,19 @@ def test_vanishing_fox_minor_raises(monkeypatch):
 
 def test_corrupted_fox_minor_raises(monkeypatch):
     # a minor that is not +-t^k Delta(t) of a knot decodes to a polynomial the
-    # normalization refuses, never to a wrong Alexander polynomial
+    # normalization refuses, never to a wrong Alexander polynomial; each
+    # corruption gets a fresh diagram, as a diagram keeps its results
     d = knot_10_22()
     _corrupt_first_row(monkeypatch, lambda row, t: [3 * x for x in row])
     with pytest.raises(InvariantError, match=r"\|D\(1\)\| = 3"):
         alexander(d)
     assert determinant_alexander(d) == 3 * 49
+    d = knot_10_22()
     _corrupt_first_row(monkeypatch, lambda row, t: [2, *row[1:]])
     with pytest.raises(InvariantError, match="Alexander determinant"):
         alexander(d)
     # a row shifted by a power of t is the same minor up to +-t^k
+    d = knot_10_22()
     _corrupt_first_row(monkeypatch, lambda row, t: [x * t**5 for x in row])
     assert alexander(d) == L({2: 2, 1: -12, 0: 21, -1: -12, -2: 2})
     assert determinant_alexander(d) == 49
