@@ -122,7 +122,7 @@ def goeritz_matrix(d: PlanarDiagram, col: CheckerboardColoring) -> GoeritzData:
             g[i][j] -= eta
             g[j][i] -= eta
     for i in range(m):
-        g[i][i] = -sum(g[i][j] for j in range(m) if j != i)
+        g[i][i] = -sum(g[i])  # the diagonal is still 0 here
     g_prime = IntegerMatrix(g)
     reduced = g_prime.delete_row_col(0, 0) if m else IntegerMatrix.zero(0, 0)
     return GoeritzData(g_prime, reduced, tuple(etas))

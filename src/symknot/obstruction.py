@@ -20,7 +20,7 @@ condition failed, never that a cosmetic crossing change exists.
 from dataclasses import dataclass, field
 
 from .algebra import AbelianGroup
-from .diagram import BudgetError, InvariantError, PlanarDiagram, SymmetricUnion
+from .diagram import BudgetError, InvariantError, PlanarDiagram, SymmetricUnion, memoized
 from .fixtures import kn_template
 from .goeritz import determinant_goeritz, h1_branched_cover
 from .khovanov import F2, is_thin, kh_homology, reduced_f2_dims
@@ -68,11 +68,13 @@ def _require_knot(d: PlanarDiagram) -> None:
         raise ValueError(f"obstruction applies to knots, got {d.n_components()} components")
 
 
+@memoized
 def recognize_template(d: PlanarDiagram) -> int | None:
     """The twist count n if ``d`` is literally the n-twisted template, else None.
 
     Recognition is exact: the diagram must carry its twist-site metadata
     and reproduce the template generator's PD code crossing for crossing.
+    The answer is memoised on ``d``, so the template is built once.
     """
     if not isinstance(d, SymmetricUnion) or d.site is None:
         return None

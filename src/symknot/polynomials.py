@@ -12,14 +12,17 @@ Wirtinger presentation, whose entries, each row shifted by a power of t,
 are c0 + c1 t.  Kronecker substitution makes it one integer determinant:
 the minor is evaluated at t = 2^b, with 2^b past twice the product of the
 relator lengths (4^m for an m x m minor), which bounds the rows'
-coefficient 1-norms and so every coefficient of the determinant; the
-integer Bareiss elimination of ``IntegerMatrix`` takes the determinant,
-and its signed base-2^b digits are the coefficients.  The same minor at
-t = -1 gives the knot determinant.  Two Jones conventions are exposed:
-:func:`jones` gives the unnormalized polynomial whose value on the
-unknot is q + q^-1 (the one that matches graded Euler characteristics of
-the homology layer), and :func:`jones_normalized` divides that unknot
-factor out.
+coefficient 1-norms and so every coefficient of the determinant.  Every
+Fox row holds a +1 and a -t^k, units of Z[t^+-1]: the sparse elimination
+of ``algebra.eliminate_pivots`` clears the entries equal to +-2^(bk),
+which changes the determinant only by a unit, and ``IntegerMatrix``
+takes the determinant of the few rows left.  Its signed base-2^b digits
+are the coefficients.  The same minor at t = -1, whose +-1 entries the
+determinant clears the same way, gives the knot determinant.  Two Jones
+conventions are exposed: :func:`jones` gives the unnormalized polynomial
+whose value on the unknot is q + q^-1 (the one that matches graded Euler
+characteristics of the homology layer), and :func:`jones_normalized`
+divides that unknot factor out.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import IntegerMatrix, LaurentPolynomial
+from .algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots
 from .diagram import BudgetError, InvariantError, PlanarDiagram, memoized, scan_order, scan_width
 
 __all__ = [
@@ -261,7 +264,21 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     # every coefficient of the minor's determinant at most their product
     bound = math.prod(len(word) for word in pres.relators[1:])
     b = (2 * bound).bit_length()
-    value = _fox_minor(pres, 1 << b).determinant()
+
+    def is_monomial(x: int) -> bool:  # x == +-2^(bk) == +-t^k
+        x = abs(x)
+        return x & (x - 1) == 0 and (x.bit_length() - 1) % b == 0
+
+    # Eliminating the units +-t^k of Z[t^+-1] leaves a core whose determinant
+    # is the minor's times a unit +-t^K, which the normalization removes: a
+    # row update either scales the row by the pivot or divides the entry by
+    # it exactly.  Either way every entry stays an integer and stays t^K (K
+    # of either sign) times a minor of the Fox matrix, so its coefficients
+    # stay under the bound above.  Its base-2^b digits are then unique: an
+    # entry equal to +-2^(bk) is the monomial +-t^k, 2^(bk) divides an entry
+    # exactly when t^k does, and the core's determinant decodes as the
+    # minor's would.
+    value = eliminate_pivots(_fox_minor(pres, 1 << b), is_monomial).core.determinant()
     if value == 0:
         # every first minor of a knot's Fox matrix is +-t^k Delta(t), never 0
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")

@@ -7,13 +7,16 @@ and the cross-cutting property suites.  Timing bounds are asserted
 where the expectation includes one.
 """
 
+import math
 import random
 import re
 import time
 from functools import lru_cache
 from pathlib import Path
 
-from symknot.algebra import IntegerMatrix, LaurentPolynomial, smith_normal_form
+from alexander_oracle import alexander_laurent
+
+from symknot.algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots, smith_normal_form
 from symknot.diagram import mirror
 from symknot.fixtures import (
     figure_eight,
@@ -28,7 +31,7 @@ from symknot.fixtures import (
     unknot_r2,
     unknot_zero,
 )
-from symknot.goeritz import determinant_goeritz, h1_branched_cover
+from symknot.goeritz import _both_classes, determinant_goeritz, h1_branched_cover
 from symknot.khovanov import (
     F2,
     RATIONAL,
@@ -47,7 +50,7 @@ from symknot.obstruction import (
     SATISFIES_CCC,
     ccc_verdict,
 )
-from symknot.polynomials import alexander, determinant_alexander, jones
+from symknot.polynomials import _fox_minor, alexander, determinant_alexander, jones, wirtinger
 
 MODULE_T0 = time.perf_counter()
 
@@ -130,6 +133,40 @@ def test_criterion_6_alexander_even_square():
     assert alexander(knot_5_2()) ** 2 == frozen
     for n in (0, 2, 4):
         assert alexander(kn_template(n)) == frozen, n
+
+
+def test_classical_invariants_of_large_members():
+    # the members sparse unit-pivot elimination makes cheap (each stage takes
+    # under 0.1 s at |n| = 203), both parities and both H1 shapes
+    even = LaurentPolynomial({2: 4, 1: -12, 0: 17, -1: -12, -2: 4})
+    odd = LaurentPolynomial({2: 2, 1: -12, 0: 21, -1: -12, -2: 2})
+    for n in (50, -50, 98, -98, 99, -99, 100, -100, 196, -196, 200, -200, 203, -203):
+        d = kn_template(n)
+        assert h1_branched_cover(d).invariant_factors == ((7, 7) if n % 7 == 0 else (49,)), n
+        assert determinant_goeritz(d) == determinant_alexander(d) == 49, n
+        assert alexander(d) == (odd if n % 2 else even), n
+        if abs(n) == 50:
+            assert alexander(d) == alexander_laurent(d), n
+
+
+def test_unit_pivots_leave_small_cores_on_the_family():
+    # every Fox row holds two units and a twist region's Goeritz rows +-1
+    # entries, so at most 4 rows are left for Bareiss or Smith form, however
+    # long the twist region
+    unit = lambda x: abs(x) == 1
+    for n in (-200, -7, 0, 1, 28, 200):
+        d = kn_template(n)
+        pres = wirtinger(d)
+        b = (2 * math.prod(len(word) for word in pres.relators[1:])).bit_length()
+
+        def monomial(x):
+            x = abs(x)
+            return x & (x - 1) == 0 and (x.bit_length() - 1) % b == 0
+
+        minors = [(_fox_minor(pres, 1 << b), monomial), (_fox_minor(pres, -1), unit)]
+        minors += [(data.goeritz, unit) for data in _both_classes(d)]
+        for m, is_pivot in minors:
+            assert eliminate_pivots(m, is_pivot).core.rows <= 4, (n, m.rows)
 
 
 def test_criterion_7_k1_is_10_22():

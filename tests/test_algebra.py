@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from linear_oracle import bareiss_det, cofactor_det
 
 from symknot.algebra import (
     AbelianGroup,
@@ -9,6 +10,7 @@ from symknot.algebra import (
     IntegerMatrix,
     LaurentPolynomial,
     cokernel,
+    eliminate_pivots,
     is_square_free,
     smith_normal_form,
 )
@@ -228,6 +230,89 @@ def test_cokernel():
     assert cokernel(IntegerMatrix([[1, 0], [0, 1]])) == AbelianGroup()
     assert cokernel(goeritz_like(7)) == AbelianGroup((7, 7))
     assert cokernel(goeritz_like(1)) == AbelianGroup((49,))
+
+
+def _sparse(rng, rows, cols, values, density):
+    return [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _permutation(rng, n, odd):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    if inversions % 2 != odd:
+        perm[0], perm[1] = perm[1], perm[0]
+    return [[int(perm[i] == j) for j in range(n)] for i in range(n)], -1 if odd else 1
+
+
+def sparse_corpus(seed):
+    """Seeded sparse integer matrices, as (rows, known determinant or None)."""
+    rng = random.Random(seed)
+    cases = [([], 1), ([[0]], 0), ([[5]], 5), ([[-1]], -1)]
+    for n in (2, 3, 5, 8, 13):
+        for odd in (False, True):
+            cases.append(_permutation(rng, n, odd))
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        values = rng.choice(((-1, 1, 2, -3), (1, -1), (2, -2, 3, 5, -7)))  # the last has no unit
+        rows = _sparse(rng, n, n, values, rng.choice((0.2, 0.4, 0.7)))
+        kind = rng.randrange(4)
+        if kind == 1 and n > 1:  # singular: a row the sum of two others, or twice another
+            i, j, k = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+            rows[i] = [a + b for a, b in zip(rows[j], rows[k])]
+        elif kind == 2:  # a zero row and a zero column
+            rows[rng.randrange(n)] = [0] * n
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = 0
+        cases.append((rows, None))
+    for n in (20, 30):  # long enough for stale heap entries and fill-in
+        cases.append((_sparse(rng, n, n, (1, -1, 1, 2, -2, 3), 0.12), None))
+    return cases
+
+
+def test_determinant_matches_dense_oracle():
+    for rows, known in sparse_corpus(20261018):
+        det = IntegerMatrix(rows).determinant()
+        assert det == bareiss_det(rows), rows
+        if known is not None:
+            assert det == known, rows
+        if len(rows) <= 6:
+            assert det == cofactor_det(rows), rows
+
+
+def test_cokernel_matches_smith_of_the_whole_matrix():
+    rng = random.Random(5150)
+    shapes = [rows for rows, _ in sparse_corpus(77)]
+    for _ in range(40):  # non-square, down to a single row or column
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        shapes.append(_sparse(rng, r, c, rng.choice(((1, -1, 2), (2, 3, -4))), 0.4))
+    shapes.append([[], []])  # two relations on no generators
+    for rows in shapes:
+        m = IntegerMatrix(rows)
+        snf = smith_normal_form(m)
+        torsion = tuple(d for d in snf.diagonal if d > 1)
+        assert cokernel(m) == AbelianGroup(torsion, m.cols - snf.rank()), rows
+
+
+@pytest.mark.parametrize(
+    "is_pivot",
+    [lambda x: abs(x) == 1, bool, lambda x: abs(x) == 2, lambda x: x % 3 == 0],
+    ids=["units", "every-entry", "twos", "multiples-of-3"],
+)
+def test_elimination_bookkeeping(is_pivot):
+    # det(M) * scale == sign * pivot_product * det(core), whichever entries
+    # may pivot; the core keeps no entry that could
+    for rows, _ in sparse_corpus(31337):
+        m = IntegerMatrix(rows)
+        elim = eliminate_pivots(m, is_pivot)
+        core = elim.core.to_lists()
+        taken = m.rows - elim.core.rows
+        assert elim.core.cols == (m.cols - taken if core else 0)
+        assert elim.sign in (1, -1) and elim.scale != 0
+        assert not any(x and is_pivot(x) for row in core for x in row)
+        assert bareiss_det(rows) * elim.scale == elim.sign * elim.pivot_product * bareiss_det(core)
 
 
 def test_bigraded_dims():

@@ -180,6 +180,20 @@ def test_precomputed_f2_homology_gives_the_same_verdict(monkeypatch):
     assert len(scans) == len(makers)
 
 
+def test_formula_verdict_builds_the_template_once(monkeypatch):
+    builds = count_calls(monkeypatch, obstruction, "kn_template")
+    for n in (-7, 0, 3):
+        d = kn_template(n)
+        builds.clear()
+        first = ccc_verdict(d, FORMULA)
+        assert builds == [(n,)]
+        builds.clear()
+        again = ccc_verdict(d, FORMULA)
+        assert builds == []
+        assert again == first and again.evidence == first.evidence
+        assert first.evidence["composite_suspected"] == (n == 0)
+
+
 def test_disagreeing_determinant_channels_raise(monkeypatch):
     monkeypatch.setattr(obstruction, "determinant_alexander", lambda d: 5)
     with pytest.raises(InvariantError, match="Goeritz 3, Alexander 5"):
