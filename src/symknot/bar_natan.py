@@ -175,11 +175,16 @@ class _Plan:
 
 
 class _Scan:
-    """The complex of the partial tangle, grown one crossing at a time."""
+    """The complex of the partial tangle, grown one crossing at a time.
 
-    def __init__(self, loops: int, char2: bool, bound: int):
+    ``n_crossings`` is how many crossings the whole scan will add; a refusal
+    names its crossing as "k of n_crossings", so it says how far the scan got.
+    """
+
+    def __init__(self, loops: int, char2: bool, bound: int, n_crossings: int):
         self.char2 = char2
         self.bound = bound
+        self.n_crossings = n_crossings
         self.boundary: list[int] = []
         self.objs: dict[int, tuple[tuple, int, int]] = {}
         self.out: dict[int, dict[int, dict]] = {}
@@ -305,7 +310,7 @@ class _Scan:
         # new objects: every old object times both smoothings, delooped
         self._check(
             sum(1 << len(glue(m, s)[1]) for m, _, _ in self.objs.values() for s in (0, 1)),
-            f"crossing {self.counts['crossings'] + 1} X{list(x)}",
+            f"crossing {self.counts['crossings'] + 1} of {self.n_crossings} X{list(x)}",
         )
         half = len(free) // 2
         objs, out, inc = self.objs, self.out, self.inc
@@ -457,7 +462,7 @@ def scan_homology(crossings, loops: int, char2: bool, bound: int):
     subtracts n_minus from r.  A crossing that would make more than
     ``bound`` objects raises ``BudgetError``.
     """
-    scan = _Scan(loops, char2, bound)
+    scan = _Scan(loops, char2, bound, len(crossings))
     for i in scan_order(crossings):
         scan.add_crossing(tuple(crossings[i]))
     dims = scan.result()

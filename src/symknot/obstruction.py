@@ -8,9 +8,9 @@ F2 coefficients: a computed certificate runs the homology and checks
 the two-diagonal support, while a closed-form certificate applies to
 the twisted template family, whose thinness holds for every twist count
 even when the diagram is too large to process directly.  The homology
-test reads the invariant factors off the Goeritz presentation and
-cross-checks the group order against two independent determinant
-computations.
+test reads the invariant factors off the Goeritz presentation, whose
+group order is the Goeritz determinant, and cross-checks that order
+against the Alexander determinant |Delta(-1)|.
 
 The verdict is deliberately one-sided.  SATISFIES_CCC means the
 obstruction applies; INCONCLUSIVE means this particular sufficient
@@ -158,13 +158,13 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
     COMPUTE mode certifies the L-space cover when F2 Khovanov homology is
     thin (COMPUTED_THIN); FORMULA mode accepts only recognized twisted
     templates and certifies them without computing (FORMULA_THIN).
-    Evidence always carries the homology invariant factors and two
-    independent determinant computations (Goeritz minor and Alexander
-    polynomial at -1); those must agree with each other and with the
-    group order, otherwise something upstream is broken and we raise
-    InvariantError.  Certificate refusals (budget, non-thin homology)
-    surface as an ABSENT certificate and an INCONCLUSIVE verdict with
-    the reason in the evidence, not as exceptions.  Each stage is
+    Evidence always carries the homology invariant factors and the
+    determinant from two independent channels (the order of H1 from the
+    Goeritz form, and the Alexander polynomial at -1); those must agree,
+    otherwise something upstream is broken and we raise InvariantError.
+    Certificate refusals (budget, non-thin homology) surface as an ABSENT
+    certificate and an INCONCLUSIVE verdict with the reason in the
+    evidence, not as exceptions.  Each stage is
     memoised on ``d``, so stages a caller already ran are not rerun.
     """
     cert, details = _certificate(d, mode)
@@ -174,10 +174,6 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
     if det_g != det_a:
         raise InvariantError(
             f"determinant channels disagree: Goeritz {det_g}, Alexander {det_a}"
-        )
-    if h1.free_rank == 0 and h1.order() != det_g:
-        raise InvariantError(
-            f"homology order {h1.order()} does not match determinant {det_g}"
         )
     square_free = h1.free_rank == 0 and h1.is_square_free_decomposition()
     evidence = {

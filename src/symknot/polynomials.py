@@ -17,8 +17,8 @@ Fox row holds a +1 and a -t^k, units of Z[t^+-1]: the sparse elimination
 of ``algebra.eliminate_pivots`` clears the entries equal to +-2^(bk),
 which changes the determinant only by a unit, and ``IntegerMatrix``
 takes the determinant of the few rows left.  Its signed base-2^b digits
-are the coefficients.  The same minor at t = -1, whose +-1 entries the
-determinant clears the same way, gives the knot determinant.  Two Jones
+are the coefficients.  The knot determinant |Delta(-1)| is read off the
+polynomial, so no second Fox minor is built for it.  Two Jones
 conventions are exposed: :func:`jones` gives the unnormalized polynomial
 whose value on the unknot is q + q^-1 (the one that matches graded Euler
 characteristics of the homology layer), and :func:`jones_normalized`
@@ -176,7 +176,6 @@ class WirtingerPresentation:
 
     generators: tuple[str, ...]
     relators: tuple[tuple[tuple[int, int], ...], ...]
-    arc_of_edge: tuple[tuple[int, int], ...]  # (edge label, generator index)
 
     def abelianized_matrix(self) -> IntegerMatrix:
         """Exponent-sum matrix, relators x generators."""
@@ -194,7 +193,7 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
     xs = d.crossings
     if not xs:
         gens = tuple(f"x{i + 1}" for i in range(d.loops))
-        return WirtingerPresentation(gens, (), ())
+        return WirtingerPresentation(gens, ())
     labels = sorted({a for x in xs for a in x})
     index = {a: i for i, a in enumerate(labels)}
     parent = list(range(len(labels)))
@@ -220,9 +219,7 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
     # from a list: tuple(<generator>) resizes its tuple, and without a full
     # collection that leaves CPython's tuple free lists growing call by call
     gens = tuple([f"x{g + 1}" for g in range(len(roots))])
-    return WirtingerPresentation(
-        gens, tuple(relators), tuple(sorted((lab, arc[lab]) for lab in labels))
-    )
+    return WirtingerPresentation(gens, tuple(relators))
 
 
 def _fox_minor(pres: WirtingerPresentation, t: int) -> IntegerMatrix:
@@ -230,8 +227,8 @@ def _fox_minor(pres: WirtingerPresentation, t: int) -> IntegerMatrix:
 
     Each relator's Fox derivatives are shifted by the power of t that makes
     their lowest exponent 0, so every entry is c0 + c1 t and the minor's
-    determinant is +-t^k Delta(t): the Alexander normalization re-centres
-    it, and |Delta(-1)| ignores the shift.
+    determinant is +-t^k Delta(t), which the Alexander normalization
+    re-centres.
     """
     rows = []
     for word in pres.relators[1:]:
@@ -313,13 +310,9 @@ def _normalize_alexander(p: LaurentPolynomial) -> LaurentPolynomial:
 
 @memoized
 def determinant_alexander(d: PlanarDiagram) -> int:
-    """|D(-1)|, computed directly in integers from the Fox matrix."""
-    if d.n_components() != 1:
-        raise ValueError("knot determinant needs a one-component diagram")
-    if len(d.crossings) <= 1:
-        return 1
-    det = _fox_minor(wirtinger(d), -1).determinant()
-    if det == 0:
-        # the minor is +-Delta(-1), which is odd for a knot
-        raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished at t = -1")
-    return abs(det)
+    """|D(-1)|, read off the Alexander polynomial.
+
+    The normalization forces D(1) = 1, so D(-1), congruent to it mod 2, is
+    odd and never 0.
+    """
+    return abs(alexander(d).evaluate(-1))

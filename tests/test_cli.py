@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -88,6 +90,8 @@ def test_parse_errors_exit_2(capsys):
         ["invariants", "--knot", "5_2", "--pd", "O"],
         ["invariants", "--symun", "5_2"],
         ["kh", "--knot", "trefoil", "--field", "gf3"],
+        # the Hopf link has no branched double cover homology here
+        ["h1", "--pd", "X[1,3,2,4] X[3,1,4,2]"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -174,6 +178,26 @@ def test_h1_subcommand(capsys):
     assert report["checks"]["h1_order_matches_determinant"] is True
 
 
+def _readme_command_lines() -> list[str]:
+    """The lines of the README's first code block under ``## Command line``."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert len(lines) == 8
+    for line in lines:
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "symknot", line
+        assert main(argv) == EXIT_OK, line
+        capsys.readouterr()
+    assert json.loads((tmp_path / "report.json").read_text())["crossings"] == 5
+
+
 def test_verify_paper_subsets(capsys):
     assert main(["verify-paper", "--only", "snf,det,alexander"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -218,10 +242,11 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     calls = {name: count_calls(monkeypatch, module, name) for module, name in engines}
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
-    # two scans (Q, F2), two Goeritz channels (H1, det), two Fox minors
-    # (Alexander, det), one bracket; the verdict reuses all of them
+    # two scans (Q, F2), one Goeritz channel (H1, whose order is its
+    # determinant), one Fox minor (Alexander, whose value at -1 is its
+    # determinant), one bracket; the verdict reuses all of them
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"scan_homology": 2, "_both_classes": 2, "_fox_minor": 2,
+    assert counts == {"scan_homology": 2, "_both_classes": 1, "_fox_minor": 1,
                       "_bracket_counts": 1}
     d = kn_template(3)
     stages = [

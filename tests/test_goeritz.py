@@ -178,8 +178,17 @@ def _mismatch_colour_classes(monkeypatch):
 
 
 def test_colour_classes_disagreeing_on_the_determinant_raise(monkeypatch):
+    # the determinant is read off H1, so the H1 check is the one that fires
     _mismatch_colour_classes(monkeypatch)
-    with pytest.raises(InvariantError, match="determinant: 3 vs 5"):
+    with pytest.raises(InvariantError, match="color classes disagree on H1: Z/3 vs Z/5"):
+        determinant_goeritz(trefoil())
+
+
+def test_infinite_h1_on_a_knot_raises(monkeypatch):
+    # a knot's cover is a rational homology sphere: a free summand is a fault,
+    # reported as one rather than as AbelianGroup.order's ValueError
+    monkeypatch.setattr(goeritz, "h1_branched_cover", lambda d: AbelianGroup((3,), 1))
+    with pytest.raises(InvariantError, match="infinite"):
         determinant_goeritz(trefoil())
 
 

@@ -164,7 +164,8 @@ def test_budget_guards(monkeypatch):
     monkeypatch.setattr(khovanov, "KH_BUDGET", peak)
     assert kh_homology(kn_template(3)).dims == closed_formula_kn(3)
     monkeypatch.setattr(khovanov, "KH_BUDGET", peak - 1)
-    with pytest.raises(BudgetError, match="crossing") as err:
+    # the refusal says how far the scan got: K_3 has 13 crossings
+    with pytest.raises(BudgetError, match=r"crossing \d+ of 13 X") as err:
         kh_homology(kn_template(3))
     assert err.value.needed == peak and err.value.budget == peak - 1
     # the refusal comes before the objects exist
@@ -518,7 +519,7 @@ def test_open_boundary_after_last_crossing_raises():
 def test_glued_entry_of_wrong_degree_raises():
     # the unknot's two delooped summands, q = +1 and q = -1, joined by a
     # scalar: that map has degree 0, not the 2 its shifts imply
-    scan = bar_natan._Scan(1, False, KH_BUDGET)
+    scan = bar_natan._Scan(1, False, KH_BUDGET, 1)
     top, bottom = scan.objs
     scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
     with pytest.raises(InvariantError, match="degree"):

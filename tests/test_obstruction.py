@@ -200,12 +200,6 @@ def test_disagreeing_determinant_channels_raise(monkeypatch):
         ccc_verdict(trefoil())
 
 
-def test_h1_order_off_the_determinant_raises(monkeypatch):
-    monkeypatch.setattr(obstruction, "h1_branched_cover", lambda d: AbelianGroup((5,)))
-    with pytest.raises(InvariantError, match="homology order 5"):
-        ccc_verdict(trefoil())
-
-
 def test_wide_knot_reason():
     v = ccc_verdict(pretzel(-2, 3, 3))
     assert v.l_space_certificate == ABSENT
