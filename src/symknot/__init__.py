@@ -19,12 +19,10 @@ from .algebra import (
     LaurentPolynomial,
 )
 from .diagram import (
-    INFINITY,
     BudgetError,
     PlanarDiagram,
     SymmetricUnion,
     TangleSite,
-    TwistParameter,
     connected_sum,
     fusion_resolution,
     mirror,
@@ -66,7 +64,6 @@ from .obstruction import (
     SATISFIES_CCC,
     ObstructionVerdict,
     ccc_verdict,
-    decide_verdict,
     recognize_template,
 )
 from .polynomials import (
@@ -86,12 +83,10 @@ __all__ = [
     "BigradedDims",
     "IntegerMatrix",
     "LaurentPolynomial",
-    "INFINITY",
     "BudgetError",
     "PlanarDiagram",
     "SymmetricUnion",
     "TangleSite",
-    "TwistParameter",
     "connected_sum",
     "fusion_resolution",
     "mirror",
@@ -127,7 +122,6 @@ __all__ = [
     "SATISFIES_CCC",
     "ObstructionVerdict",
     "ccc_verdict",
-    "decide_verdict",
     "recognize_template",
     "WirtingerPresentation",
     "alexander",

@@ -339,7 +339,9 @@ class IntegerMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        out = cls([[0] * cols for _ in range(rows)])
+        out.cols = cols  # a matrix without rows still has its columns
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -355,7 +357,7 @@ class IntegerMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return self._data == other._data
+        return self.cols == other.cols and self._data == other._data
 
     def __hash__(self) -> int:
         return hash(tuple(tuple(r) for r in self._data))
@@ -587,8 +589,11 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
     """Smith normal form by elementary integer row/column operations.
 
     Pivoting selects a minimal-absolute-value nonzero entry, which keeps
-    intermediate entries small at this scale.  The transforms U (rows) and
-    V (columns) are accumulated alongside and are unimodular by construction.
+    intermediate entries small at this scale.  A pivot is fixed only once it
+    divides every entry of the trailing block, and every later operation
+    stays inside that block, so the diagonal comes out as a divisibility
+    chain in one pass.  The transforms U (rows) and V (columns) are
+    accumulated alongside and are unimodular by construction.
     """
     m = matrix.to_lists()
     nrows, ncols = matrix.rows, matrix.cols
@@ -663,8 +668,7 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
         if dirty:
             continue
         # The cross is clear; absorb any trailing entry the pivot does not
-        # divide, so the pivot ends up as the gcd of the whole block and the
-        # diagonal comes out almost chain-ordered for free.
+        # divide, so the pivot ends up as the gcd of the whole block.
         off = next(
             (
                 i
@@ -679,37 +683,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
             continue
         if m[k][k] < 0:
             negate_row(k)
+        # d_k divides the trailing block and all later work stays in it, so d_k | d_{k+1}
         k += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = m[i][i], m[i + 1][i + 1]
-            if a and b % a != 0:
-                changed = True
-                # Fold b into position (i, i) via gcd, pushing lcm down.
-                add_col(i + 1, i, 1)
-                while True:
-                    pivot = m[i][i]
-                    if m[i + 1][i]:
-                        q = m[i + 1][i] // pivot
-                        add_row(i, i + 1, -q)
-                        if m[i + 1][i]:
-                            swap_rows(i, i + 1)
-                            continue
-                    if m[i][i + 1]:
-                        q = m[i][i + 1] // pivot
-                        add_col(i, i + 1, -q)
-                        if m[i][i + 1]:
-                            swap_cols(i, i + 1)
-                            continue
-                    break
-                if m[i][i] < 0:
-                    negate_row(i)
-                if m[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
 
     # from a list: tuple(<generator>) resizes its tuple, and without a full
     # collection that leaves CPython's tuple free lists growing call by call

@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from .diagram import BudgetError, InvariantError, scan_order
+from .diagram import BudgetError, InvariantError, find, scan_order
 
 __all__ = ["ScanStats", "scan_homology"]
 
@@ -119,17 +119,10 @@ class _Plan:
     def __init__(self, n_a, n_b, gluings, through_pieces, n_cycles, src, tgt):
         n = n_a + n_b
         parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for a, b in gluings:
-            parent[find(a)] = find(b)
+            parent[find(parent, a)] = find(parent, b)
         comp: dict[int, int] = {}
-        of = [comp.setdefault(find(i), len(comp)) for i in range(n)]
+        of = [comp.setdefault(find(parent, i), len(comp)) for i in range(n)]
         chi = [0] * len(comp)
         for i in range(n):
             chi[of[i]] += 1

@@ -28,8 +28,6 @@ __all__ = [
     "InvariantError",
     "PlanarDiagram",
     "TangleSite",
-    "TwistParameter",
-    "INFINITY",
     "parse_pd",
     "scan_order",
     "scan_width",
@@ -97,6 +95,18 @@ def memoized(fn):
         return d._cache[key]
 
     return stage
+
+
+def find(parent: list[int] | dict[int, int], x: int) -> int:
+    """Root of ``x`` in a union-find forest kept in a list or dict, halving paths.
+
+    Callers union by ``parent[find(parent, a)] = find(parent, b)``.  The roots
+    become edge labels in ``assemble_corners``, so the union order is output.
+    """
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 _TOKEN = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$|O$")
@@ -259,17 +269,10 @@ class PlanarDiagram:
     def n_components(self) -> int:
         """Number of link components, counting crossing-free loops."""
         parent: dict[int, int] = {a: a for a in self.arcs}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (a, b, c, d) in self.crossings:
-            parent[find(a)] = find(c)
-            parent[find(b)] = find(d)
-        return len({find(a) for a in self.arcs}) + self.loops
+            parent[find(parent, a)] = find(parent, c)
+            parent[find(parent, b)] = find(parent, d)
+        return len({find(parent, a) for a in self.arcs}) + self.loops
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying 4-valent projection."""
@@ -278,17 +281,10 @@ class PlanarDiagram:
         if self.loops:
             return False
         parent = list(range(len(self.crossings)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for positions in self.appearances().values():
             (c1, _), (c2, _) = positions
-            parent[find(c1)] = find(c2)
-        return len({find(i) for i in range(len(self.crossings))}) == 1
+            parent[find(parent, c1)] = find(parent, c2)
+        return len({find(parent, i) for i in range(len(self.crossings))}) == 1
 
     @memoized
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
@@ -488,22 +484,15 @@ def _merge_and_relabel(
 ) -> PlanarDiagram:
     """Union edge labels, rewrite kept crossings, count closed-off loops."""
     parent: dict[int, int] = {a: a for a in d.arcs}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for a, b in unions:
-        parent[find(a)] = find(b)
+        parent[find(parent, a)] = find(parent, b)
     rep: dict[int, int] = {}
     for a in d.arcs:
-        r = find(a)
+        r = find(parent, a)
         rep[r] = min(rep.get(r, a), a)
-    relabeled = [tuple(rep[find(a)] for a in x) for x in keep]
+    relabeled = [tuple(rep[find(parent, a)] for a in x) for x in keep]
     used = {a for x in relabeled for a in x}
-    touched = {find(a) for pair in unions for a in pair}
+    touched = {find(parent, a) for pair in unions for a in pair}
     new_loops = d.loops + sum(1 for cls in touched if rep[cls] not in used)
     return PlanarDiagram(_redirect(relabeled), new_loops)
 
@@ -591,24 +580,17 @@ def assemble_corners(
     the wire ids plus one (union classes keep the id of their last member).
     """
     parent = list(range(n_wires))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for a, b in unions:
-        parent[find(a)] = find(b)
+        parent[find(parent, a)] = find(parent, b)
 
     apps: dict[int, list[tuple[int, int]]] = {}
     for ci, (corners, _) in enumerate(xs):
         for corner, w in enumerate(corners):
-            apps.setdefault(find(w), []).append((ci, corner))
+            apps.setdefault(find(parent, w), []).append((ci, corner))
     for ends in apps.values():
         if len(ends) != 2:
             raise ValueError("wiring did not close into arcs")
-    loops += sum(1 for w in range(n_wires) if find(w) == w and w not in apps)
+    loops += sum(1 for w in range(n_wires) if find(parent, w) == w and w not in apps)
 
     direction: dict[tuple[int, int], int] = {}
     for start in sorted(pos for ends in apps.values() for pos in ends):
@@ -620,7 +602,7 @@ def assemble_corners(
             c, corner = pos
             out_pos = (c, _OPPOSITE[corner])
             direction[out_pos] = -1
-            arc = find(xs[c][0][_OPPOSITE[corner]])
+            arc = find(parent, xs[c][0][_OPPOSITE[corner]])
             a, b = apps[arc]
             nxt = b if out_pos == a else a
             if nxt == start:
@@ -634,7 +616,7 @@ def assemble_corners(
         slots = [under_in]
         while len(slots) < 4:
             slots.append(_CCW_NEXT[slots[-1]])
-        crossings.append(tuple(find(corners[s]) + 1 for s in slots))
+        crossings.append(tuple(find(parent, corners[s]) + 1 for s in slots))
     d = PlanarDiagram(crossings, loops, name)
     if normalize:
         d = d.normalized()
@@ -696,25 +678,6 @@ class TangleSite:
     def __post_init__(self) -> None:
         if self.interior and len({self.nw, self.ne, self.sw, self.se}) != 4:
             raise DiagramStructureError("twist-region corners must be four distinct edges")
-
-
-@dataclass(frozen=True)
-class TwistParameter:
-    """Number of half twists; ``None`` encodes the infinity tangle."""
-
-    value: int | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __int__(self) -> int:
-        if self.value is None:
-            raise ValueError("infinite twist parameter has no integer value")
-        return self.value
-
-
-INFINITY = TwistParameter(None)
 
 
 def _ladder_corners(u: list[int], v: list[int], over_ne_sw: bool, reflected: bool):
@@ -787,20 +750,18 @@ def _channel_layout(d: PlanarDiagram, x: int, y: int) -> tuple[bool, bool]:
     )
 
 
-def twist_insert(d: PlanarDiagram, site: TangleSite, n: int | TwistParameter) -> "SymmetricUnion":
+def twist_insert(d: PlanarDiagram, site: TangleSite, n: int) -> "SymmetricUnion":
     """Insert ``n`` half twists along a two-edge channel of the diagram.
 
     The site must be trivial with ``nw == sw`` and ``ne == se`` naming two
     distinct edges that border a common face; the twist ladder is drawn
     through that face, cutting both edges open and braiding the four cut
     ends.  Positive ``n`` makes positive crossings.  ``n == 0`` validates
-    the channel and returns the diagram unchanged.  The result records the
-    twist region's own site so the region can be re-resolved later.
+    the channel and returns the diagram's crossings unchanged.  The result
+    is a new ``SymmetricUnion`` recording the twist region's own site, so
+    the region can be re-resolved later; the infinity tangle on the same
+    channel is ``fusion_resolution``.
     """
-    if isinstance(n, TwistParameter):
-        if n.is_infinite:
-            raise DiagramStructureError("the infinity tangle is fusion_resolution")
-        n = int(n)
     if site.interior or site.nw != site.sw or site.ne != site.se:
         raise DiagramStructureError("twist insertion needs a trivial channel site")
     x, y = site.nw, site.ne
@@ -809,11 +770,11 @@ def twist_insert(d: PlanarDiagram, site: TangleSite, n: int | TwistParameter) ->
         raise DiagramStructureError("channel edges must be two distinct edges of the diagram")
     layout = _channel_layout(d, x, y)
     if n == 0:
-        return SymmetricUnion._of(d, site, 0)
+        return SymmetricUnion(d.crossings, d.loops, d.name, site=site, n=0)
     out, ladder_site = _lay_ladder(d, x, y, abs(n), n > 0, layout)
     if out.n_components() != d.n_components():  # pragma: no cover - layout was vetted
         raise DiagramStructureError("rail pairing changes component count")
-    return SymmetricUnion._of(out, ladder_site, n)
+    return SymmetricUnion(out.crossings, out.loops, out.name, site=ladder_site, n=n)
 
 
 def fusion_resolution(d: PlanarDiagram, site: TangleSite) -> PlanarDiagram:
@@ -865,9 +826,9 @@ class SymmetricUnion(PlanarDiagram):
     """A planar diagram that remembers its replaceable twist tangle.
 
     Behaves as a plain diagram everywhere; additionally ``site`` names the
-    twist region so it can be re-resolved, ``n`` is its half-twist count,
-    and ``partial`` is the one-sided factor the union was built from, when
-    known.  The extra fields do not take part in equality.
+    twist region so it can be re-resolved and ``n`` is its half-twist
+    count.  ``twist_insert`` builds one per twist; the extra fields do not
+    take part in equality.
     """
 
     def __init__(
@@ -878,22 +839,10 @@ class SymmetricUnion(PlanarDiagram):
         *,
         site: TangleSite | None = None,
         n: int = 0,
-        partial: PlanarDiagram | None = None,
     ):
         super().__init__(crossings, loops, name)
         self.site = site
         self.n = n
-        self.partial = partial
-
-    @classmethod
-    def _of(
-        cls,
-        d: PlanarDiagram,
-        site: TangleSite,
-        n: int,
-        partial: PlanarDiagram | None = None,
-    ) -> "SymmetricUnion":
-        return cls(d.crossings, d.loops, d.name, site=site, n=n, partial=partial)
 
 
 def symmetric_union(j: PlanarDiagram, site_spec: TangleSite, n: int) -> SymmetricUnion:
@@ -929,5 +878,4 @@ def symmetric_union(j: PlanarDiagram, site_spec: TangleSite, n: int) -> Symmetri
     )
     base = PlanarDiagram(crossings, 2 * j.loops, j.name and f"U({j.name})")
     site = TangleSite(twist_arc, twist_arc + off, twist_arc, twist_arc + off)
-    result = twist_insert(base, site, n)
-    return SymmetricUnion._of(result, result.site, n, partial=j)
+    return twist_insert(base, site, n)

@@ -295,12 +295,6 @@ class KhResult:
         if self.field not in (RATIONAL, F2):
             raise ValueError(f"unsupported coefficient field: {self.field!r}")
 
-    def total_rank(self) -> int:
-        return self.dims.total_rank()
-
-    def poincare(self) -> str:
-        return self.dims.poincare()
-
 
 def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
     """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning.

@@ -12,9 +12,12 @@ test reads the invariant factors off the Goeritz presentation, whose
 group order is the Goeritz determinant, and cross-checks that order
 against the Alexander determinant |Delta(-1)|.
 
-The verdict is deliberately one-sided.  SATISFIES_CCC means the
-obstruction applies; INCONCLUSIVE means this particular sufficient
-condition failed, never that a cosmetic crossing change exists.
+``ObstructionVerdict`` holds the certificate, H1 and the evidence; its
+square-free flag and verdict are properties derived from the first two,
+the one place the rule is written down.  The verdict is deliberately
+one-sided.  SATISFIES_CCC means the obstruction applies; INCONCLUSIVE
+means this particular sufficient condition failed, never that a
+cosmetic crossing change exists.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +51,6 @@ __all__ = [
     "SATISFIES_CCC",
     "ObstructionVerdict",
     "ccc_verdict",
-    "decide_verdict",
     "recognize_template",
 ]
 
@@ -118,38 +120,33 @@ def _certificate(d: PlanarDiagram, mode: str) -> tuple[str, dict]:
     return ABSENT, details
 
 
-def decide_verdict(certificate: str, h1: AbelianGroup) -> str:
-    """Pure verdict rule: certified L-space cover + square-free summands.
-
-    A free summand counts as non-square-free (its order is not even
-    finite); knots never produce one, but synthetic inputs may.
-    """
-    if certificate not in CERTIFICATES:
-        raise ValueError(f"unknown certificate: {certificate!r}")
-    square_free = h1.free_rank == 0 and h1.is_square_free_decomposition()
-    if certificate != ABSENT and square_free:
-        return SATISFIES_CCC
-    return INCONCLUSIVE
-
-
 @dataclass(frozen=True, slots=True)
 class ObstructionVerdict:
     """Outcome of the obstruction with the evidence that produced it."""
 
     l_space_certificate: str
     h1: AbelianGroup
-    square_free: bool
-    verdict: str
     evidence: dict = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.l_space_certificate not in CERTIFICATES:
             raise ValueError(f"unknown certificate: {self.l_space_certificate!r}")
-        if self.verdict not in (SATISFIES_CCC, INCONCLUSIVE):
-            raise ValueError(f"unknown verdict: {self.verdict!r}")
-        expected = self.l_space_certificate != ABSENT and self.square_free
-        if (self.verdict == SATISFIES_CCC) != expected:
-            raise ValueError("verdict contradicts certificate and square-free flag")
+
+    @property
+    def square_free(self) -> bool:
+        """Every summand of H1 has square-free order.
+
+        A free summand counts as non-square-free (its order is not even
+        finite); knots never produce one, but synthetic inputs may.
+        """
+        return self.h1.free_rank == 0 and self.h1.is_square_free_decomposition()
+
+    @property
+    def verdict(self) -> str:
+        """SATISFIES_CCC for a certified L-space cover with square-free H1."""
+        if self.l_space_certificate != ABSENT and self.square_free:
+            return SATISFIES_CCC
+        return INCONCLUSIVE
 
 
 def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
@@ -175,7 +172,6 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
         raise InvariantError(
             f"determinant channels disagree: Goeritz {det_g}, Alexander {det_a}"
         )
-    square_free = h1.free_rank == 0 and h1.is_square_free_decomposition()
     evidence = {
         "mode": _mode_tag(mode),
         "h1_invariant_factors": list(h1.invariant_factors),
@@ -186,10 +182,4 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
         "composite_suspected": recognize_template(d) == 0,
         **details,
     }
-    return ObstructionVerdict(
-        l_space_certificate=cert,
-        h1=h1,
-        square_free=square_free,
-        verdict=decide_verdict(cert, h1),
-        evidence=evidence,
-    )
+    return ObstructionVerdict(l_space_certificate=cert, h1=h1, evidence=evidence)

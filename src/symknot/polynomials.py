@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots
-from .diagram import BudgetError, InvariantError, PlanarDiagram, memoized, scan_order, scan_width
+from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, scan_order, scan_width
 
 __all__ = [
     "BRACKET_BUDGET",
@@ -46,13 +46,6 @@ __all__ = [
 
 # A boundary of 2k points has (2k - 1)!! pairings: 14 points allow 135,135.
 BRACKET_BUDGET = 14
-
-
-def _find(parent: list[int], a: int) -> int:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
 
 
 # slot pairs joined by the 0-smoothing (factor A) and the 1-smoothing (A^-1)
@@ -189,23 +182,18 @@ class WirtingerPresentation:
 
 
 def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
-    """Wirtinger presentation; a 0-crossing diagram gives a free group."""
+    """Wirtinger presentation; each crossingless loop adds a free generator."""
     xs = d.crossings
-    if not xs:
-        gens = tuple(f"x{i + 1}" for i in range(d.loops))
-        return WirtingerPresentation(gens, ())
     labels = sorted({a for x in xs for a in x})
     index = {a: i for i, a in enumerate(labels)}
     parent = list(range(len(labels)))
     for ci, x in enumerate(xs):
         over_in = d.over_in_slot(ci)
         a, b = index[x[over_in]], index[x[(over_in + 2) % 4]]
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = sorted({_find(parent, i) for i in range(len(labels))})
+        parent[find(parent, a)] = find(parent, b)
+    roots = sorted({find(parent, i) for i in range(len(labels))})
     gen_of_root = {r: g for g, r in enumerate(roots)}
-    arc = {lab: gen_of_root[_find(parent, index[lab])] for lab in labels}
+    arc = {lab: gen_of_root[find(parent, index[lab])] for lab in labels}
 
     relators = []
     for ci, x in enumerate(xs):
@@ -218,7 +206,7 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
         relators.append(word)
     # from a list: tuple(<generator>) resizes its tuple, and without a full
     # collection that leaves CPython's tuple free lists growing call by call
-    gens = tuple([f"x{g + 1}" for g in range(len(roots))])
+    gens = tuple([f"x{g + 1}" for g in range(len(roots) + d.loops)])
     return WirtingerPresentation(gens, tuple(relators))
 
 

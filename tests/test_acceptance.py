@@ -99,7 +99,7 @@ def test_criterion_2_kh_family_rational():
         assert result.dims == closed_formula_kn(n), n
         report = is_thin(result)
         assert report.thin and report.diagonals[1] - report.diagonals[0] == 2, n
-        assert result.total_rank() == 50, n
+        assert result.dims.total_rank() == 50, n
         assert seconds < 120.0, (n, seconds)
 
 

@@ -106,6 +106,9 @@ def test_integer_matrix_basics():
     assert IntegerMatrix([[1, 2], [2, 5]]).is_symmetric()
     with pytest.raises(ValueError):
         IntegerMatrix([[1, 2], [3]])
+    # a matrix without rows keeps its columns, and its shape counts
+    assert IntegerMatrix.zero(0, 3).cols == 3
+    assert IntegerMatrix.zero(0, 3) != IntegerMatrix.zero(0, 0)
 
 
 def test_determinant_bareiss():

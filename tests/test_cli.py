@@ -279,6 +279,30 @@ def test_verify_paper_json(capsys, tmp_path):
     assert {r["criterion"] for r in data["rows"]} == {"det"}
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_REPORTS = {
+    "invariants_symun_5_2_n3.json": ["invariants", "--symun", "5_2", "--n", "3"],
+    "invariants_symun_5_2_n14.json": ["invariants", "--symun", "5_2", "--n", "14"],
+    "invariants_symun_5_2_n-28.json": ["invariants", "--symun", "5_2", "--n", "-28"],
+    "invariants_10_22.json": ["invariants", "--knot", "10_22"],
+    "invariants_trefoil.json": ["invariants", "--knot", "trefoil"],
+    "invariants_pretzel_3_1_-3.json": ["invariants", "--knot", "pretzel_3_1_-3"],
+    "h1_symun_5_2_n7.json": ["h1", "--symun", "5_2", "--n", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_matches_golden(capsys, name):
+    # the files hold the CLI's emission with the run-dependent "timings" and
+    # the engine's "stats" removed; every other byte is frozen
+    code, report, _ = run_json(capsys, GOLDEN_REPORTS[name])
+    assert code == EXIT_OK
+    report.pop("timings")
+    report.pop("stats", None)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert text == (GOLDEN / name).read_text()
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symknot.cli", "invariants", "--pd", "O"],

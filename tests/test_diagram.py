@@ -1,7 +1,6 @@
 import pytest
 
 from symknot.diagram import (
-    INFINITY,
     ArcCountError,
     DiagramStructureError,
     OrientationError,
@@ -9,7 +8,6 @@ from symknot.diagram import (
     PlanarDiagram,
     SymmetricUnion,
     TangleSite,
-    TwistParameter,
     assemble_corners,
     connected_sum,
     fusion_resolution,
@@ -162,13 +160,6 @@ def test_assemble_corners_traces_directions():
         assemble_corners([((0, 1, 2, 0), True)], [], 3, "open")
 
 
-def test_twist_parameter():
-    assert int(TwistParameter(4)) == 4
-    assert INFINITY.is_infinite
-    with pytest.raises(ValueError):
-        int(INFINITY)
-
-
 def test_symmetric_union_crossing_count_and_writhe():
     j = knot_5_2(True)
     for n in range(-4, 5):
@@ -186,7 +177,6 @@ def test_symmetric_union_returns_annotated_diagram():
     assert isinstance(k, PlanarDiagram)
     assert isinstance(k, SymmetricUnion)
     assert k.n == 2
-    assert k.partial == knot_5_2(True)
     assert len(k.site.interior) == 2
 
 
@@ -205,8 +195,6 @@ def test_twist_insert_needs_a_shared_face():
     base = symmetric_union(knot_5_2(True), KN_SITE, 0)
     with pytest.raises(DiagramStructureError):
         twist_insert(base, TangleSite(2, 3, 2, 3), 1)
-    with pytest.raises(DiagramStructureError):
-        twist_insert(base, KN_SITE, INFINITY)
 
 
 def test_twist_insert_zero_keeps_diagram():

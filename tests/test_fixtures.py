@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from symknot.diagram import PlanarDiagram, SymmetricUnion
@@ -16,6 +18,9 @@ from symknot.fixtures import (
     unknot_r2,
     unknot_zero,
 )
+
+# sha256 of the K_n PD codes for n in -30..30, joined by newlines
+KN_PD_SHA256 = "7ceebd4284082802b4e13e0b6626209b07f53ec249ed72930a605a15c6091d05"
 
 KNOTS = [
     (unknot_zero, 0, 0),
@@ -125,6 +130,12 @@ def test_kn_template_twist_signs():
         d = kn_template(n)
         assert d.n_plus - d.n_minus == n
         assert {d.signs()[i] for i in d.site.interior} == {1 if n > 0 else -1}
+
+
+def test_kn_template_pd_codes_frozen():
+    # byte-stable PD emission, edge labels included, for every K_n on -30..30
+    text = "\n".join(kn_template(n).serialize() for n in range(-30, 31))
+    assert hashlib.sha256(text.encode()).hexdigest() == KN_PD_SHA256
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def test_trefoil_tables():
 def test_52_matches_published_table():
     r = kh_homology(knot_5_2())
     assert r.dims.dims == KH_52
-    assert r.poincare() == "q + q^3 + q^3*u + q^5*u^2 + q^7*u^2 + q^9*u^3 + q^9*u^4 + q^13*u^5"
+    assert r.dims.poincare() == "q + q^3 + q^3*u + q^5*u^2 + q^7*u^2 + q^9*u^3 + q^9*u^4 + q^13*u^5"
     report = is_thin(r)
     assert report and report.diagonals == (1, 3)
 
@@ -528,5 +528,5 @@ def test_glued_entry_of_wrong_degree_raises():
 
 if __name__ == "__main__":
     r = kh_homology(knot_5_2())
-    print("Kh(5_2):", r.poincare())
+    print("Kh(5_2):", r.dims.poincare())
     print("thin:", is_thin(r))

@@ -26,7 +26,6 @@ from symknot.obstruction import (
     SATISFIES_CCC,
     ObstructionVerdict,
     ccc_verdict,
-    decide_verdict,
     recognize_template,
 )
 
@@ -67,50 +66,25 @@ def test_recognize_template():
 
 
 def test_decide_verdict_is_pure_rule():
+    # (group, square-free); a free summand is never square-free
     groups = [
-        AbelianGroup(),
-        AbelianGroup((3,)),
-        AbelianGroup((7, 7)),
-        AbelianGroup((49,)),
-        AbelianGroup((2, 12)),
-        AbelianGroup((30,)),
-        AbelianGroup((), 1),
-        AbelianGroup((5,), 2),
+        (AbelianGroup(), True),
+        (AbelianGroup((3,)), True),
+        (AbelianGroup((7, 7)), True),
+        (AbelianGroup((49,)), False),
+        (AbelianGroup((2, 12)), False),
+        (AbelianGroup((30,)), True),
+        (AbelianGroup((), 1), False),
+        (AbelianGroup((5,), 2), False),
     ]
     for cert in CERTIFICATES:
-        for g in groups:
-            square_free = g.free_rank == 0 and g.is_square_free_decomposition()
+        for g, square_free in groups:
+            v = ObstructionVerdict(cert, g, {})
+            assert v.square_free is square_free
             want = SATISFIES_CCC if cert != ABSENT and square_free else INCONCLUSIVE
-            assert decide_verdict(cert, g) == want
+            assert v.verdict == want
     with pytest.raises(ValueError):
-        decide_verdict("THIN", AbelianGroup())
-
-
-def test_verdict_record_enforces_consistency():
-    with pytest.raises(ValueError):
-        ObstructionVerdict(
-            l_space_certificate=ABSENT,
-            h1=AbelianGroup((7, 7)),
-            square_free=True,
-            verdict=SATISFIES_CCC,
-            evidence={},
-        )
-    with pytest.raises(ValueError):
-        ObstructionVerdict(
-            l_space_certificate=COMPUTED_THIN,
-            h1=AbelianGroup((3,)),
-            square_free=True,
-            verdict=INCONCLUSIVE,
-            evidence={},
-        )
-    with pytest.raises(ValueError):
-        ObstructionVerdict(
-            l_space_certificate="THIN",
-            h1=AbelianGroup(),
-            square_free=True,
-            verdict=SATISFIES_CCC,
-            evidence={},
-        )
+        ObstructionVerdict("THIN", AbelianGroup(), {})
 
 
 def test_k14_satisfies():

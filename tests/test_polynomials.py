@@ -198,6 +198,13 @@ def test_wirtinger_shapes():
     assert len(pres.generators) == 1 and len(pres.relators) == 1
     pres = wirtinger(unknot_zero())
     assert pres.generators == ("x1",) and pres.relators == ()
+    # a link group abelianizes to Z^components, loops beside crossings included
+    zoo = EULER_CORPUS + [
+        knot_10_22(), pretzel(-2, 3, 3), kn_template(0), kn_template(1), kn_template(-2)
+    ]
+    for d in zoo + random_braid_corpus():
+        group = cokernel(wirtinger(d).abelianized_matrix())
+        assert group == AbelianGroup((), d.n_components()), d.serialize()
 
 
 def test_alexander_frozen_values():
