@@ -54,19 +54,6 @@ class LaurentPolynomial:
                     del acc[exp]
         self._coeffs = acc
 
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPolynomial":
-        """coeff * t**exp."""
-        return cls({exp: coeff})
-
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
@@ -82,6 +69,9 @@ class LaurentPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its integer, so it must hash like it
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __getitem__(self, exp: int) -> int:
@@ -136,7 +126,7 @@ class LaurentPolynomial:
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        result = LaurentPolynomial.one()
+        result = LaurentPolynomial({0: 1})
         base = self
         while n:
             if n & 1:
@@ -186,7 +176,7 @@ class LaurentPolynomial:
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
-            return LaurentPolynomial.zero()
+            return LaurentPolynomial()
         num = dict(self._coeffs)
         den = other._coeffs
         den_top = max(den)

@@ -7,14 +7,16 @@ twice in the diagram.  Crossing-free circle components (which arise from
 smoothings) are tracked by a separate ``loops`` count and serialize as the
 term ``O``.
 
-Orientation is derived data: it is propagated from the under-strand slots
-and never stored by the caller.
+Orientation is derived data: one walk along the strands, entering every
+under strand at slot 0, orients the diagram and counts its components.  It
+is never stored by the caller.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -109,6 +111,46 @@ def find(parent: list[int] | dict[int, int], x: int) -> int:
     return x
 
 
+def _edge_ends(crossings: Sequence[Sequence[int]]) -> list[int]:
+    """Edge-end p -> the edge-end at the other end of its edge.
+
+    The edge-end at slot s of crossing c is the integer p = 4 * c + s.
+    """
+    ends = [0] * (4 * len(crossings))
+    first: dict[int, int] = {}
+    for p, a in enumerate(a for x in crossings for a in x):
+        if a in first:
+            q = first.pop(a)
+            ends[p], ends[q] = q, p
+        else:
+            first[a] = p
+    return ends
+
+
+def _walk_strands(
+    crossings: Sequence[Sequence[int]], starts: Iterable[int]
+) -> tuple[list[bool | None], int]:
+    """Walk each strand once, entering at the first edge-end of ``starts`` it meets.
+
+    A strand that enters a crossing at slot s leaves at slot s ^ 2 and goes
+    on at the other end of that edge until it is back where it began.
+    Returns whether each edge-end (as in ``_edge_ends``) is inbound, None
+    where no walk passed, and the number of walks, which is the number of
+    closed strands met by ``starts``.
+    """
+    ends = _edge_ends(crossings)
+    inbound: list[bool | None] = [None] * len(ends)
+    walks = 0
+    for p in starts:
+        if inbound[p] is None:
+            walks += 1
+            while inbound[p] is None:
+                inbound[p] = True
+                inbound[p ^ 2] = False
+                p = ends[p ^ 2]
+    return inbound, walks
+
+
 _TOKEN = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$|O$")
 
 IN = 1
@@ -173,57 +215,26 @@ class PlanarDiagram:
 
     # -- orientation -------------------------------------------------------
 
+    def _walk(self) -> tuple[list[bool | None], int]:
+        """Walk every strand from each slot 0 in crossing order, then each over slot."""
+        ends = 4 * len(self.crossings)
+        return _walk_strands(self.crossings, [*range(0, ends, 4), *range(1, ends, 2)])
+
     @memoized
     def orientation(self) -> dict[tuple[int, int], int]:
-        """Map (crossing, slot) -> IN or OUT, derived by propagation.
+        """Map (crossing, slot) -> IN or OUT, read off one walk along the strands.
 
-        Under-strand slots are forced (slot 0 flows in, slot 2 out); the two
-        appearances of an edge take opposite values, as do the two over-strand
-        slots of one crossing.  Components never passing under anything get a
-        deterministic fallback direction.
+        Every under strand enters at slot 0.  A component that never passes
+        under anything flows in at its first over slot in (crossing, slot)
+        order.
         """
-        apps = self.appearances()
-        status: dict[tuple[int, int], int] = {}
-        for ci in range(len(self.crossings)):
-            status[(ci, 0)] = IN
-            status[(ci, 2)] = OUT
-
-        def consequences(pos: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
-            ci, slot = pos
-            val = status[pos]
-            arc = self.crossings[ci][slot]
-            a, b = apps[arc]
-            other = b if pos == a else a
-            out = [(other, -val)]
-            if slot in (1, 3):
-                out.append(((ci, 4 - slot), -val))
-            return out
-
-        queue = [(ci, s) for ci in range(len(self.crossings)) for s in (0, 2)]
-        while True:
-            while queue:
-                pos = queue.pop()
-                for other, want in consequences(pos):
-                    have = status.get(other)
-                    if have is None:
-                        status[other] = want
-                        queue.append(other)
-                    elif have != want:
-                        raise OrientationError(
-                            f"orientation cannot close at crossing {other[0]} slot {other[1]}"
-                        )
-            unassigned = [
-                (ci, s)
-                for ci in range(len(self.crossings))
-                for s in (1, 3)
-                if (ci, s) not in status
-            ]
-            if not unassigned:
-                break
-            pos = min(unassigned)
-            status[pos] = IN
-            queue.append(pos)
-        return status
+        inbound, _ = self._walk()
+        for ci, flag in enumerate(inbound[::4]):
+            if not flag:
+                raise OrientationError(
+                    f"orientation cannot close: slot 0 of crossing {ci} is an exit"
+                )
+        return {divmod(p, 4): IN if flag else OUT for p, flag in enumerate(inbound)}
 
     def over_in_slot(self, ci: int) -> int:
         """The over-strand's incoming slot (1 or 3) at crossing ``ci``."""
@@ -268,11 +279,7 @@ class PlanarDiagram:
 
     def n_components(self) -> int:
         """Number of link components, counting crossing-free loops."""
-        parent: dict[int, int] = {a: a for a in self.arcs}
-        for (a, b, c, d) in self.crossings:
-            parent[find(parent, a)] = find(parent, c)
-            parent[find(parent, b)] = find(parent, d)
-        return len({find(parent, a) for a in self.arcs}) + self.loops
+        return self._walk()[1] + self.loops
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying 4-valent projection."""
@@ -281,9 +288,8 @@ class PlanarDiagram:
         if self.loops:
             return False
         parent = list(range(len(self.crossings)))
-        for positions in self.appearances().values():
-            (c1, _), (c2, _) = positions
-            parent[find(parent, c1)] = find(parent, c2)
+        for p, q in enumerate(_edge_ends(self.crossings)):
+            parent[find(parent, p // 4)] = find(parent, q // 4)
         return len({find(parent, i) for i in range(len(self.crossings))}) == 1
 
     @memoized
@@ -300,27 +306,18 @@ class PlanarDiagram:
             raise DiagramStructureError("faces need a connected diagram")
         if not self.is_connected():
             raise DiagramStructureError("faces need a connected diagram")
-        apps = self.appearances()
-
-        def alpha(pos: tuple[int, int]) -> tuple[int, int]:
-            ci, slot = pos
-            a, b = apps[self.crossings[ci][slot]]
-            return b if pos == a else a
-
-        seen: set[tuple[int, int]] = set()
+        ends = _edge_ends(self.crossings)
+        seen = [False] * len(ends)
         faces = []
-        for ci in range(len(self.crossings)):
-            for slot in range(4):
-                start = (ci, slot)
-                if start in seen:
-                    continue
-                cycle = []
-                pos = start
-                while pos not in seen:
-                    seen.add(pos)
-                    cycle.append(pos)
-                    nc, ns = alpha(pos)
-                    pos = (nc, (ns + 1) % 4)
+        for start in range(len(ends)):
+            cycle = []
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                cycle.append(divmod(p, 4))
+                q = ends[p]
+                p = q - q % 4 + (q + 1) % 4
+            if cycle:
                 faces.append(tuple(cycle))
         euler = len(self.crossings) - self.n_arcs + len(faces)
         if euler != 2:
@@ -494,37 +491,23 @@ def _merge_and_relabel(
     used = {a for x in relabeled for a in x}
     touched = {find(parent, a) for pair in unions for a in pair}
     new_loops = d.loops + sum(1 for cls in touched if rep[cls] not in used)
-    return PlanarDiagram(_redirect(relabeled), new_loops)
+    return PlanarDiagram(_redirect(relabeled, range(0, 4 * len(keep), 4)), new_loops)
 
 
 def _redirect(
-    crossings: list[tuple[int, int, int, int]],
+    crossings: list[tuple[int, int, int, int]], starts: Iterable[int]
 ) -> list[tuple[int, int, int, int]]:
     """Rotate crossing tuples by two slots where a strand now runs backwards.
 
-    Surgery can reverse part of a component, leaving tuples whose under
-    strand flows 2 -> 0.  Rotating such a tuple describes the same crossing
-    with the arrow read the other way, so the result is a valid PD for the
-    same unoriented diagram.  Tuples already consistent are kept verbatim:
-    each component's direction is seeded from its lowest-index under-pass.
+    Surgery or assembly can leave tuples whose under strand flows 2 -> 0.
+    Rotating such a tuple describes the same crossing with the arrow read
+    the other way, so the result is a valid PD for the same unoriented
+    diagram.  Each component flows in at the first edge-end of ``starts``
+    on it; tuples already consistent with that are kept verbatim.
     """
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for ci, x in enumerate(crossings):
-        for slot, a in enumerate(x):
-            ends.setdefault(a, []).append((ci, slot))
-    inbound: dict[tuple[int, int], bool] = {}
-    for ci in range(len(crossings)):
-        if (ci, 0) in inbound:
-            continue
-        pos = (ci, 0)
-        while pos not in inbound:
-            inbound[pos] = True
-            out = (pos[0], (pos[1] + 2) % 4)
-            inbound[out] = False
-            a, b = ends[crossings[out[0]][out[1]]]
-            pos = b if out == a else a
+    inbound, _ = _walk_strands(crossings, starts)
     return [
-        x if inbound[(ci, 0)] else (x[2], x[3], x[0], x[1])
+        x if inbound[4 * ci] else (x[2], x[3], x[0], x[1])
         for ci, x in enumerate(crossings)
     ]
 
@@ -551,11 +534,10 @@ def resolve_crossing(d: PlanarDiagram, ci: int, which: int) -> PlanarDiagram:
 # PD codes fix each crossing's incoming under-strand, which is awkward while a
 # diagram is being rewired: strand directions are global.  The assembler below
 # instead takes crossings as (wires at NW, NE, SW, SE; whether the NE-SW strand
-# is on top), traces directions through the wiring, and only then commits each
-# crossing's slots.
+# is on top), writes each crossing with its under strand entering at its first
+# corner, and then turns round the tuples that the strand walk finds backwards.
 
 _NW, _NE, _SW, _SE = 0, 1, 2, 3
-_OPPOSITE = {_NW: _SE, _SE: _NW, _NE: _SW, _SW: _NE}
 # Counterclockwise successor by corner angle: NE -> NW -> SW -> SE -> NE.
 _CCW_NEXT = {_NE: _NW, _NW: _SW, _SW: _SE, _SE: _NE}
 # A PD tuple lists edge-ends counterclockwise from the incoming under strand,
@@ -583,40 +565,21 @@ def assemble_corners(
     for a, b in unions:
         parent[find(parent, a)] = find(parent, b)
 
-    apps: dict[int, list[tuple[int, int]]] = {}
-    for ci, (corners, _) in enumerate(xs):
-        for corner, w in enumerate(corners):
-            apps.setdefault(find(parent, w), []).append((ci, corner))
-    for ends in apps.values():
-        if len(ends) != 2:
-            raise ValueError("wiring did not close into arcs")
-    loops += sum(1 for w in range(n_wires) if find(parent, w) == w and w not in apps)
-
-    direction: dict[tuple[int, int], int] = {}
-    for start in sorted(pos for ends in apps.values() for pos in ends):
-        if start in direction:
-            continue
-        pos = start
-        while True:
-            direction[pos] = 1  # flows into its crossing
-            c, corner = pos
-            out_pos = (c, _OPPOSITE[corner])
-            direction[out_pos] = -1
-            arc = find(parent, xs[c][0][_OPPOSITE[corner]])
-            a, b = apps[arc]
-            nxt = b if out_pos == a else a
-            if nxt == start:
-                break
-            pos = nxt
+    uses = Counter(find(parent, w) for corners, _ in xs for w in corners)
+    if any(k != 2 for k in uses.values()):
+        raise ValueError("wiring did not close into arcs")
+    loops += sum(1 for w in range(n_wires) if find(parent, w) == w and w not in uses)
 
     crossings = []
+    starts = []
     for ci, (corners, over_ne_sw) in enumerate(xs):
-        under = (_NW, _SE) if over_ne_sw else (_NE, _SW)
-        under_in = under[0] if direction[(ci, under[0])] == 1 else under[1]
-        slots = [under_in]
+        slots = [_NW if over_ne_sw else _NE]
         while len(slots) < 4:
             slots.append(_CCW_NEXT[slots[-1]])
         crossings.append(tuple(find(parent, corners[s]) + 1 for s in slots))
+        starts += [4 * ci + slots.index(corner) for corner in range(4)]
+    # each component flows in at its lowest (crossing, corner)
+    crossings = _redirect(crossings, starts)
     d = PlanarDiagram(crossings, loops, name)
     if normalize:
         d = d.normalized()

@@ -279,7 +279,7 @@ def _slice_matrices(cube, levels, index, char2: bool):
 
 @dataclass(frozen=True)
 class KhResult:
-    """Bigraded homology dimensions plus the diagram data behind them.
+    """Bigraded homology dimensions over one field.
 
     ``stats`` holds the scan's exact size counters; it takes no part in
     equality, so two results compare by their tables alone.
@@ -287,8 +287,6 @@ class KhResult:
 
     field: str
     dims: BigradedDims
-    n_plus: int
-    n_minus: int
     stats: ScanStats | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -315,9 +313,7 @@ def _kh_homology(d: PlanarDiagram, tag: str) -> KhResult:
     parity = d.n_components() % 2
     if any(q % 2 != parity for (q, _) in dims):
         raise InvariantError(f"quantum gradings of {d.name or 'the diagram'} break parity {parity}")
-    return KhResult(
-        field=tag, dims=BigradedDims(dims), n_plus=n_plus, n_minus=n_minus, stats=stats
-    )
+    return KhResult(field=tag, dims=BigradedDims(dims), stats=stats)
 
 
 def slice_complex(d: PlanarDiagram, q: int, field: str = RATIONAL):

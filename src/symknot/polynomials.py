@@ -115,8 +115,8 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
             budget=BRACKET_BUDGET,
         )
     delta = LaurentPolynomial({2: -1, -2: -1})
-    powers = [LaurentPolynomial.one()]
-    total = LaurentPolynomial.zero()
+    powers = [LaurentPolynomial({0: 1})]
+    total = LaurentPolynomial()
     for (exp, loops), count in sorted(_bracket_counts(d.crossings, order).items()):
         loops += d.loops
         while len(powers) <= loops - 1:
@@ -243,7 +243,7 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     if d.n_components() != 1:
         raise ValueError("Alexander polynomial needs a one-component diagram")
     if len(d.crossings) <= 1:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     pres = wirtinger(d)
     # a Fox row has coefficient 1-norm at most its relator's length, and
     # every coefficient of the minor's determinant at most their product

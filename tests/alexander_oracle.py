@@ -36,10 +36,10 @@ def laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     """Fraction-free Bareiss determinant over the Laurent ring."""
     n = len(rows)
     if n == 0:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     m = [row[:] for row in rows]
     sign = 1
-    prev = LaurentPolynomial.one()
+    prev = LaurentPolynomial({0: 1})
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -48,13 +48,13 @@ def laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
                     sign = -sign
                     break
             else:
-                return LaurentPolynomial.zero()
+                return LaurentPolynomial()
         pivot = m[k][k]
         for i in range(k + 1, n):
             head = m[i][k]
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * pivot - head * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPolynomial.zero()
+            m[i][k] = LaurentPolynomial()
         prev = pivot
     out = m[n - 1][n - 1]
     return -out if sign < 0 else out
@@ -63,7 +63,7 @@ def laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
 def alexander_laurent(d: PlanarDiagram) -> LaurentPolynomial:
     """Delta(d), centred and signed so that Delta(1) = 1, from the Laurent minor."""
     if len(d.crossings) <= 1:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     rows = fox_rows_laurent(wirtinger(d))
     det = laurent_det([row[1:] for row in rows[1:]])
     centred = det.shift(-(det.min_exp() + det.max_exp()) // 2)

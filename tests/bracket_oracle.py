@@ -52,7 +52,7 @@ def smoothing_counts(d: PlanarDiagram) -> dict[tuple[int, int], int]:
 def bracket_state_sum(d: PlanarDiagram) -> LaurentPolynomial:
     """Bracket in A, 1 on the unknot: each smoothing gives A^exp (-A^2 - A^-2)^(loops - 1)."""
     delta = LaurentPolynomial({2: -1, -2: -1})
-    total = LaurentPolynomial.zero()
+    total = LaurentPolynomial()
     for (exp, loops), count in smoothing_counts(d).items():
         total = total + (delta ** (loops - 1)).shift(exp) * count
     return total

@@ -23,12 +23,9 @@ def rand_poly(rng, span=4, size=3):
 
 
 def test_laurent_constructors_and_identity():
-    assert L.zero() == L()
-    assert not L.zero()
-    assert L.one() == L({0: 1})
-    assert L.term(3, -2) == L({-2: 3})
+    assert not L()
     assert L({2: 0, 1: 5}) == L({1: 5})  # zero coefficients dropped
-    assert L.one()[0] == 1 and L.one()[7] == 0
+    assert L({0: 1})[0] == 1 and L({0: 1})[7] == 0
 
 
 def test_laurent_ring_axioms_seeded():
@@ -40,10 +37,10 @@ def test_laurent_ring_axioms_seeded():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a + L.zero() == a
-        assert a * L.one() == a
-        assert a - a == L.zero()
-        assert a * 0 == L.zero()
+        assert a + L() == a
+        assert a * L({0: 1}) == a
+        assert a - a == L()
+        assert a * 0 == L()
 
 
 def test_laurent_int_mixing():
@@ -51,6 +48,11 @@ def test_laurent_int_mixing():
     assert a + 3 == L({1: 2, -1: 2})
     assert 3 - a == L({1: -2, -1: -2, 0: 6})
     assert a * 2 == L({1: 4, -1: 4, 0: -6})
+    # a constant equals its integer, so it hashes like it too
+    assert L({0: 5}) == 5 and hash(L({0: 5})) == hash(5)
+    assert 5 in {L({0: 5})} and L({0: 5}) in {5}
+    assert L() == 0 and L() in {0}
+    assert L({0: 5}) in {L({0: 5})} and L({1: 5}) not in {5}
 
 
 def test_laurent_shift_mirror_pow():
@@ -58,7 +60,7 @@ def test_laurent_shift_mirror_pow():
     assert a.shift(3) == L({5: 1, 3: -1})
     assert a.mirror() == L({-2: 1, 0: -1})
     assert a.mirror().mirror() == a
-    assert a ** 0 == L.one()
+    assert a ** 0 == L({0: 1})
     assert a ** 3 == a * a * a
     with pytest.raises(ValueError):
         a ** -1
@@ -86,11 +88,11 @@ def test_laurent_exact_div():
     with pytest.raises(ValueError):
         L({1: 1, 0: 1}).exact_div(L({1: 2}))
     with pytest.raises(ZeroDivisionError):
-        L.one().exact_div(L.zero())
+        L({0: 1}).exact_div(L())
 
 
 def test_laurent_format():
-    assert L.zero().format() == "0"
+    assert L().format() == "0"
     assert L({2: 1, 0: -3, -1: 2}).format("t") == "t^2 - 3 + 2*t^-1"
     assert L({1: 1, -1: 1}).format("q") == "q + q^-1"
 

@@ -89,6 +89,7 @@ def test_parse_errors_exit_2(capsys):
         ["invariants"],
         ["invariants", "--knot", "5_2", "--pd", "O"],
         ["invariants", "--symun", "5_2"],
+        ["invariants", "--knot", "trefoil", "--n", "3"],
         ["kh", "--knot", "trefoil", "--field", "gf3"],
         # the Hopf link has no branched double cover homology here
         ["h1", "--pd", "X[1,3,2,4] X[3,1,4,2]"],
@@ -175,7 +176,8 @@ def test_h1_subcommand(capsys):
     code, report, _ = run_json(capsys, ["h1", "--symun", "5_2", "--n", "7"])
     assert code == EXIT_OK
     assert report["h1"]["invariant_factors"] == [7, 7]
-    assert report["checks"]["h1_order_matches_determinant"] is True
+    assert report["determinant"] == {"goeritz": 49}
+    assert "checks" not in report and list(report["timings"]) == ["h1"]
 
 
 def _readme_command_lines() -> list[str]:

@@ -1,8 +1,16 @@
 import hashlib
+import random
 
 import pytest
+from test_khovanov import random_braid_corpus
 
-from symknot.diagram import PlanarDiagram, SymmetricUnion
+from symknot.diagram import (
+    PdError,
+    PlanarDiagram,
+    SymmetricUnion,
+    fusion_resolution,
+    resolve_crossing,
+)
 from symknot.fixtures import (
     braid_pd,
     figure_eight,
@@ -132,10 +140,100 @@ def test_kn_template_twist_signs():
         assert {d.signs()[i] for i in d.site.interior} == {1 if n > 0 else -1}
 
 
+def _rational_corpus(seed=1507, count=300):
+    """Seeded ``rational_knot`` diagrams of 1-5 blocks, knots and links alike."""
+    rng = random.Random(seed)
+    return [
+        rational_knot([rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(rng.randint(1, 5))])
+        for _ in range(count)
+    ]
+
+
+def _random_pd_codes(seed=78, count=5000):
+    """Seeded crossing lists of 1-6 crossings, each of 2c labels used twice.
+
+    Most are not planar and many cannot be oriented; a component that
+    passes under nothing only turns up here.
+    """
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        c = rng.randint(1, 6)
+        labels = list(range(1, 2 * c + 1)) * 2
+        rng.shuffle(labels)
+        codes.append([labels[k : k + 4] for k in range(0, 4 * c, 4)])
+    return codes
+
+
+def _outcome(stage):
+    try:
+        return repr(stage())
+    except PdError as e:
+        return type(e).__name__
+
+
+def _generated_diagrams():
+    """Named groups of diagrams built by the package's own constructors."""
+    zoo = [build() for build, _, _ in KNOTS] + [two_unlink(), kn_template(2)]
+    return {
+        "braids": random_braid_corpus(),
+        "pretzels": [
+            pretzel(p, q, r)
+            for p in range(-4, 5)
+            for q in range(-3, 4)
+            for r in range(-4, 5)
+            if p and r
+        ],
+        "torus": [torus_2k(k) for k in range(-12, 13)],
+        "rational": _rational_corpus(),
+        "fusions": [fusion_resolution(k, k.site) for k in map(kn_template, range(-8, 9))],
+        "resolutions": [
+            resolve_crossing(d, ci, which)
+            for d in zoo
+            for ci in range(d.n_crossings)
+            for which in (0, 1)
+        ],
+    }
+
+
+# sha256 of "PD code | signs | components" per diagram, joined by newlines
+GENERATED_SHA256 = {
+    "braids": "cebd4e2d5c703b94d4601cfecb23bb504e19bd2c57425c293c04582abc4eff3b",
+    "pretzels": "8fcbd87f9c68e1ae770d82ea84e417aab3f0be2400716208da30d62d91d2b07c",
+    "torus": "63f9ceb62bd8969c46534659115530044c3deca1477765b6b225e67feee14aa8",
+    "rational": "43de0ed6b0a69c06013df0fc48105db6dd89e16149d507dd42ff90d81d33e1b6",
+    "fusions": "bcc22da4f6603fae33319f4bd34a406cdb086aadc94dd3a57eec477a6abc9608",
+    "resolutions": "0fec1eac8c9a8f585d8bbba3d252b0d27c1c13ca5f4dc0a7e661a33d2488745e",
+}
+
+# sha256 of "orientation or its error | components | connected | faces or
+# their error" per random PD code, joined by newlines
+RANDOM_PD_SHA256 = "71e2deb69a7f74f5ad505b1f9db3dd37f03fb223552e4c19c1d0b94ef1832f29"
+
+
 def test_kn_template_pd_codes_frozen():
     # byte-stable PD emission, edge labels included, for every K_n on -30..30
     text = "\n".join(kn_template(n).serialize() for n in range(-30, 31))
     assert hashlib.sha256(text.encode()).hexdigest() == KN_PD_SHA256
+    # and for every other generated family: PD code, crossing signs, components
+    digests = {
+        group: hashlib.sha256(
+            "\n".join(
+                f"{d.serialize()}|{d.signs()}|{d.n_components()}" for d in diagrams
+            ).encode()
+        ).hexdigest()
+        for group, diagrams in _generated_diagrams().items()
+    }
+    assert digests == GENERATED_SHA256
+    # random codes reach the orientation error and over-only components
+    lines = []
+    for code in _random_pd_codes():
+        d = PlanarDiagram(code)
+        orient = _outcome(lambda: sorted(d.orientation().items()))
+        faces = _outcome(d.faces)
+        lines.append(f"{orient}|{d.n_components()}|{d.is_connected()}|{faces}")
+    assert any(line.startswith("OrientationError") for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANDOM_PD_SHA256
 
 
 if __name__ == "__main__":

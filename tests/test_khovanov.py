@@ -75,7 +75,7 @@ def test_field_tags():
     with pytest.raises(ValueError):
         kh_homology(d, "Z")
     with pytest.raises(ValueError):
-        KhResult(field="R", dims=BigradedDims({}), n_plus=0, n_minus=0)
+        KhResult(field="R", dims=BigradedDims({}))
 
 
 def test_cube_trefoil_circle_counts():
@@ -193,7 +193,7 @@ def test_unknots_and_unlink():
 def test_trefoil_tables():
     r = kh_homology(trefoil())
     assert r.dims.dims == KH_TREFOIL
-    assert (r.n_plus, r.n_minus) == (3, 0)
+    assert (trefoil().n_plus, trefoil().n_minus) == (3, 0)
     rf = kh_homology(trefoil(), F2)
     # one torsion class shows up as the extra pair in q = 7
     assert rf.dims.dims == {**KH_TREFOIL, (7, 2): 1, (7, 3): 1}
@@ -363,12 +363,10 @@ def test_reduced_peeling():
     assert red.diagonals() == [2]
     with pytest.raises(ValueError):
         reduced_f2_dims(kh_homology(knot_5_2(), RATIONAL))
-    bogus = KhResult(field=F2, dims=BigradedDims({(1, 0): 1}), n_plus=0, n_minus=0)
+    bogus = KhResult(field=F2, dims=BigradedDims({(1, 0): 1}))
     with pytest.raises(ValueError):
         reduced_f2_dims(bogus)
-    mixed = KhResult(
-        field=F2, dims=BigradedDims({(1, 0): 1, (2, 0): 1}), n_plus=0, n_minus=0
-    )
+    mixed = KhResult(field=F2, dims=BigradedDims({(1, 0): 1, (2, 0): 1}))
     with pytest.raises(ValueError):
         reduced_f2_dims(mixed)
 
@@ -485,7 +483,7 @@ def test_stats_count_the_scan():
     assert st.cancellations > 0 and st.compositions > 0
     # exact counters: a second run repeats them, and they stay out of equality
     assert kh_homology(kn_template(3)).stats == st
-    assert k3 == KhResult(field=RATIONAL, dims=k3.dims, n_plus=k3.n_plus, n_minus=k3.n_minus)
+    assert k3 == KhResult(field=RATIONAL, dims=k3.dims)
     assert kh_homology(unknot_zero()).stats.crossings == 0
 
 

@@ -46,7 +46,7 @@ UNKNOT_JONES = L({1: 1, -1: 1})
 
 
 def test_bracket_base_cases():
-    assert kauffman_bracket(unknot_zero()) == L.one()
+    assert kauffman_bracket(unknot_zero()) == L({0: 1})
     assert kauffman_bracket(two_unlink()) == L({2: -1, -2: -1})
     # a positive kink multiplies the bracket by -A^3
     assert kauffman_bracket(unknot_kink(1)) == L({3: -1})
@@ -113,7 +113,7 @@ def test_jones_unknots():
     # Reidemeister-representative unknot diagrams all give q + q^-1
     for d in (unknot_zero(), unknot_kink(1), unknot_kink(-1), unknot_r2()):
         assert jones(d) == UNKNOT_JONES
-        assert jones_normalized(d) == L.one()
+        assert jones_normalized(d) == L({0: 1})
     assert jones(two_unlink()) == UNKNOT_JONES * UNKNOT_JONES
     # positive Hopf link, frozen from its standard homology table
     assert jones(torus_2k(2)) == L({0: 1, 2: 1, 4: 1, 6: 1})
@@ -208,9 +208,9 @@ def test_wirtinger_shapes():
 
 
 def test_alexander_frozen_values():
-    assert alexander(unknot_zero()) == L.one()
-    assert alexander(unknot_kink(1)) == L.one()
-    assert alexander(unknot_r2()) == L.one()
+    assert alexander(unknot_zero()) == L({0: 1})
+    assert alexander(unknot_kink(1)) == L({0: 1})
+    assert alexander(unknot_r2()) == L({0: 1})
     assert alexander(trefoil(True)) == L({1: 1, 0: -1, -1: 1})
     assert alexander(figure_eight()) == L({1: -1, 0: 3, -1: -1})
     assert alexander(knot_5_2(True)) == L({1: 2, 0: -3, -1: 2})
