@@ -588,37 +588,33 @@ def assemble_corners(
     return d
 
 
-def _cut_wiring(
-    d: PlanarDiagram, cuts: tuple[int, ...]
-) -> tuple[list[tuple[tuple[int, int, int, int], bool]], dict[int, tuple[int, int]], int]:
-    """Corner wiring of ``d`` with the given edges cut into two pieces each.
+def _cut_channel(
+    d: PlanarDiagram, x: int, y: int, swap: bool
+) -> tuple[list[tuple[tuple[int, int, int, int], bool]], tuple[int, int, int, int], int]:
+    """Corner wiring of ``d`` with the channel edges ``x`` and ``y`` cut in two.
 
-    Wire ids are dense over the surviving edges; a cut edge keeps its id at
-    its first appearance and a fresh id replaces the second.  Returns the
-    corner list, edge -> (first piece, second piece), and the id bound.
+    Wire ids are dense over the edges; a cut edge keeps its id at its lower
+    edge-end and a fresh id replaces the other.  Returns the corner list,
+    the rail ends (xa, xb, ya, yb) with y's two pieces exchanged if
+    ``swap``, and the id bound.
     """
-    labels = sorted(d.appearances())
-    idx = {lab: k for k, lab in enumerate(labels)}
-    fresh = len(labels)
+    idx = {lab: k for k, lab in enumerate(d.arcs)}
+    fresh = len(idx)
     pieces: dict[int, tuple[int, int]] = {}
     xs = []
-    for x in d.crossings:
-        row = []
-        for lab in x:
-            if lab in cuts:
-                if lab in pieces:
-                    row.append(pieces[lab][1])
-                else:
-                    pieces[lab] = (idx[lab], fresh)
-                    fresh += 1
-                    row.append(idx[lab])
-            else:
-                row.append(idx[lab])
+    for c in d.crossings:
         corners = [0, 0, 0, 0]
-        for slot, w in enumerate(row):
+        for slot, lab in enumerate(c):
+            w = idx[lab]
+            if lab in pieces:
+                w = pieces[lab][1]
+            elif lab in (x, y):
+                pieces[lab] = (w, fresh)
+                fresh += 1
             corners[_SLOT_CORNER[slot]] = w
         xs.append(((corners[0], corners[1], corners[2], corners[3]), True))
-    return xs, pieces, fresh
+    ya, yb = pieces[y][::-1] if swap else pieces[y]
+    return xs, (*pieces[x], ya, yb), fresh
 
 
 @dataclass(frozen=True)
@@ -659,22 +655,12 @@ def _ladder_corners(u: list[int], v: list[int], over_ne_sw: bool, reflected: boo
     return out
 
 
-# (swap rail ends of the second edge, reflect east-west); the PD code does
-# not say which pairing of cut ends is adjacent nor on which side of the
-# page the shared face lies, so layouts are tried in this fixed order.
-_LAYOUTS = ((False, False), (False, True), (True, False), (True, True))
-
-
 def _lay_ladder(
     d: PlanarDiagram, x: int, y: int, m: int, positive: bool, layout: tuple[bool, bool]
 ) -> tuple[PlanarDiagram, TangleSite]:
     """Cut edges ``x`` and ``y`` and wire ``m`` half twists between them."""
     swap, reflected = layout
-    xs, pieces, fresh = _cut_wiring(d, (x, y))
-    xa, xb = pieces[x]
-    ya, yb = pieces[y]
-    if swap:
-        ya, yb = yb, ya
+    xs, (xa, xb, ya, yb), fresh = _cut_channel(d, x, y, swap)
     u = [xa] + list(range(fresh, fresh + m - 1)) + [xb]
     v = [ya] + list(range(fresh + m - 1, fresh + 2 * (m - 1))) + [yb]
     xs = xs + _ladder_corners(u, v, positive, reflected)
@@ -689,41 +675,53 @@ def _lay_ladder(
 
 
 def _channel_layout(d: PlanarDiagram, x: int, y: int) -> tuple[bool, bool]:
-    """Pick the ladder wiring for the channel (x, y) by trial against guards.
+    """Read the ladder wiring for the channel (x, y) off a face both edges border.
 
-    A usable layout must stay planar, coherently oriented, and component
-    preserving for both one and two half twists (one parity alone can pass
-    by accident when the rail ends are paired across).  The first workable
-    layout in the fixed order wins; if none works the two edges do not
-    border a common face and no twist region can be drawn there.
+    Walking a face, x runs from edge-end p to ``ends[p]`` and y from q to
+    ``ends[q]``, so ``ends[p]`` and q sit at one end of the channel and
+    ``ends[q]`` and p at the other.  A cut edge's first piece is the one at
+    its lower edge-end, which fixes the layout: whether the rail ends of y
+    swap, and whether the braid is wired east-west reflected.  One half
+    twist keeps the component count only where x and y lie on one strand
+    and run against each other through the face.  Where two faces qualify
+    the least layout wins, the one the frozen K_n PD codes were drawn with.
     """
-    for layout in _LAYOUTS:
-        try:
-            for m in (1, 2):
-                out, _ = _lay_ladder(d, x, y, m, True, layout)
-                if out.n_components() != d.n_components():
-                    raise DiagramStructureError("rail pairing changes component count")
-        except PdError:
-            continue
-        except ValueError:
-            continue
-        return layout
-    raise DiagramStructureError(
-        "channel edges do not border a common face; no planar twist layout"
-    )
+    ends = _edge_ends(d.crossings)
+    labels = [a for c in d.crossings for a in c]
+    shared = []
+    for face in d.faces():
+        cycle = [4 * ci + slot for ci, slot in face]
+        shared += [(p, q) for p in cycle if labels[p] == x for q in cycle if labels[q] == y]
+    if not shared:
+        raise DiagramStructureError("channel edges do not border a common face")
+    flow, _ = _walk_strands(d.crossings, [shared[0][0]])
+    if flow[shared[0][1]] is None:
+        raise DiagramStructureError("channel edges lie on two components")
+    # The ladder joins piece xa to piece ya, so y's pieces swap when the two
+    # lower edge-ends sit at opposite ends of the channel.  One walk enters
+    # ends[p] and ends[q] alike where x and y run against each other.
+    layouts = [
+        ((p < ends[p]) == (q < ends[q]), p > ends[p])
+        for p, q in shared
+        if flow[ends[p]] == flow[ends[q]]
+    ]
+    if not layouts:
+        raise DiagramStructureError("channel edges run parallel through every shared face")
+    return min(layouts)
 
 
 def twist_insert(d: PlanarDiagram, site: TangleSite, n: int) -> "SymmetricUnion":
     """Insert ``n`` half twists along a two-edge channel of the diagram.
 
     The site must be trivial with ``nw == sw`` and ``ne == se`` naming two
-    distinct edges that border a common face; the twist ladder is drawn
-    through that face, cutting both edges open and braiding the four cut
-    ends.  Positive ``n`` makes positive crossings.  ``n == 0`` validates
-    the channel and returns the diagram's crossings unchanged.  The result
-    is a new ``SymmetricUnion`` recording the twist region's own site, so
-    the region can be re-resolved later; the infinity tangle on the same
-    channel is ``fusion_resolution``.
+    distinct edges of one component that border a common face and run
+    against each other through it; the twist ladder is drawn through that
+    face, cutting both edges open and braiding the four cut ends.  Positive
+    ``n`` makes positive crossings.  ``n == 0`` validates the channel and
+    returns the diagram's crossings unchanged.  The result is a new
+    ``SymmetricUnion`` recording the twist region's own site, so the region
+    can be re-resolved later; the infinity tangle on the same channel is
+    ``fusion_resolution``.
     """
     if site.interior or site.nw != site.sw or site.ne != site.se:
         raise DiagramStructureError("twist insertion needs a trivial channel site")
@@ -735,8 +733,8 @@ def twist_insert(d: PlanarDiagram, site: TangleSite, n: int) -> "SymmetricUnion"
     if n == 0:
         return SymmetricUnion(d.crossings, d.loops, d.name, site=site, n=0)
     out, ladder_site = _lay_ladder(d, x, y, abs(n), n > 0, layout)
-    if out.n_components() != d.n_components():  # pragma: no cover - layout was vetted
-        raise DiagramStructureError("rail pairing changes component count")
+    if out.n_components() != d.n_components():
+        raise InvariantError("twist ladder changed the component count")
     return SymmetricUnion(out.crossings, out.loops, out.name, site=ladder_site, n=n)
 
 
@@ -758,11 +756,7 @@ def fusion_resolution(d: PlanarDiagram, site: TangleSite) -> PlanarDiagram:
         # Cap with the same rail pairing a twist ladder on this channel
         # would use, so the fusion agrees with every twisted diagram.
         swap, _ = _channel_layout(d, x, y)
-        xs, pieces, fresh = _cut_wiring(d, (x, y))
-        xa, xb = pieces[x]
-        ya, yb = pieces[y]
-        if swap:
-            ya, yb = yb, ya
+        xs, (xa, xb, ya, yb), fresh = _cut_channel(d, x, y, swap)
         return assemble_corners(
             xs, [(xa, ya), (xb, yb)], fresh, d.name, loops=d.loops, normalize=False
         )

@@ -56,13 +56,11 @@ __all__ = [
 
 
 def _mode_tag(mode: str) -> str:
-    try:
-        tag = mode.lower()
-    except AttributeError:
-        tag = None
-    if tag not in (COMPUTE, FORMULA):
-        raise ValueError(f"unknown certificate mode: {mode!r}")
-    return tag
+    """The module constant for ``mode``, in any letter case."""
+    for tag in (COMPUTE, FORMULA):
+        if isinstance(mode, str) and mode.lower() == tag:
+            return tag
+    raise ValueError(f"unknown certificate mode: {mode!r}")
 
 
 def _require_knot(d: PlanarDiagram) -> None:

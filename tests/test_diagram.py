@@ -1,4 +1,10 @@
+import random
+from collections import Counter
+
 import pytest
+from layout_oracle import LAYOUTS, trial_layout
+from test_fixtures import _rational_corpus
+from test_khovanov import EULER_CORPUS, random_braid_corpus
 
 from symknot.diagram import (
     ArcCountError,
@@ -8,6 +14,7 @@ from symknot.diagram import (
     PlanarDiagram,
     SymmetricUnion,
     TangleSite,
+    _channel_layout,
     assemble_corners,
     connected_sum,
     fusion_resolution,
@@ -24,6 +31,7 @@ from symknot.fixtures import (
     kn_template,
     knot_5_2,
     knot_10_22,
+    pretzel,
     torus_2k,
     trefoil,
     two_unlink,
@@ -193,8 +201,41 @@ def test_symmetric_union_site_validation():
 
 def test_twist_insert_needs_a_shared_face():
     base = symmetric_union(knot_5_2(True), KN_SITE, 0)
-    with pytest.raises(DiagramStructureError):
+    with pytest.raises(DiagramStructureError, match="do not border a common face"):
         twist_insert(base, TangleSite(2, 3, 2, 3), 1)
+    # these pairs share a face, but one half twist would join two
+    # components or split one
+    with pytest.raises(DiagramStructureError, match="lie on two components"):
+        twist_insert(torus_2k(2), TangleSite(1, 2, 1, 2), 1)
+    with pytest.raises(DiagramStructureError, match="run parallel"):
+        twist_insert(trefoil(True), TangleSite(1, 4, 1, 4), 1)
+
+
+def _layout_outcome(find, d, x, y):
+    try:
+        return find(d, x, y)
+    except ValueError as e:
+        return type(e).__name__
+
+
+def test_channel_layout_matches_trial_oracle():
+    # every ordered pair of distinct edges: the layout read off the shared
+    # face is the first one the trial ladders let through, or both refuse
+    corpus = EULER_CORPUS + [knot_10_22(), pretzel(-2, 3, 3), torus_2k(3)]
+    corpus += [kn_template(n) for n in (-2, 0, 1, 3)]
+    corpus += _rational_corpus(seed=1113, count=10)
+    corpus += random.Random(1113).sample(random_braid_corpus(), 16)
+    seen = Counter()
+    for d in corpus:
+        for x in d.arcs:
+            for y in d.arcs:
+                if x != y:
+                    got = _layout_outcome(_channel_layout, d, x, y)
+                    assert got == _layout_outcome(trial_layout, d, x, y), (d.serialize(), x, y)
+                    seen[got] += 1
+    # 6058 pairs, 1060 of them laid, each of the four layouts over 200 times
+    assert all(seen[layout] > 200 for layout in LAYOUTS), seen
+    assert sum(seen.values()) > 6000
 
 
 def test_twist_insert_zero_keeps_diagram():

@@ -44,6 +44,11 @@ def test_certificate_modes():
     with pytest.raises(ValueError):
         ccc_verdict(knot_5_2(), "guess")
     with pytest.raises(ValueError):
+        ccc_verdict(knot_5_2(), None)
+    # evidence holds the module constant, not a fresh lower-cased copy
+    assert ccc_verdict(kn_template(-7), "FORMULA").evidence["mode"] is FORMULA
+    assert ccc_verdict(knot_5_2(), "Compute").evidence["mode"] is COMPUTE
+    with pytest.raises(ValueError):
         ccc_verdict(two_unlink())
 
 
