@@ -67,13 +67,11 @@ from .obstruction import (
     recognize_template,
 )
 from .polynomials import (
-    WirtingerPresentation,
     alexander,
     determinant_alexander,
     jones,
     jones_normalized,
     kauffman_bracket,
-    wirtinger,
 )
 
 __version__ = "0.1.0"
@@ -123,12 +121,10 @@ __all__ = [
     "ObstructionVerdict",
     "ccc_verdict",
     "recognize_template",
-    "WirtingerPresentation",
     "alexander",
     "determinant_alexander",
     "jones",
     "jones_normalized",
     "kauffman_bracket",
-    "wirtinger",
     "__version__",
 ]

@@ -181,13 +181,15 @@ class LaurentPolynomial:
         den = other._coeffs
         den_top = max(den)
         den_lead = den[den_top]
+        # an exact quotient's lowest term times the divisor's is the dividend's
+        low = min(num) - min(den)
         out: dict[int, int] = {}
         while num:
             top = max(num)
             lead = num[top]
-            if lead % den_lead != 0:
-                raise ValueError("inexact polynomial division")
             q, e = lead // den_lead, top - den_top
+            if lead % den_lead != 0 or e < low:
+                raise ValueError("inexact polynomial division")
             out[e] = out.get(e, 0) + q
             for de, dc in den.items():
                 k = de + e
@@ -329,7 +331,11 @@ class IntegerMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        out = cls([[0] * cols for _ in range(rows)])
+        return cls._shaped([[0] * cols for _ in range(rows)], cols)
+
+    @classmethod
+    def _shaped(cls, data: list[list[int]], cols: int) -> "IntegerMatrix":
+        out = cls(data)
         out.cols = cols  # a matrix without rows still has its columns
         return out
 
@@ -364,14 +370,17 @@ class IntegerMatrix:
                     dst = out[i]
                     for j in range(other.cols):
                         dst[j] += a * orow[j]
-        return IntegerMatrix(out)
+        return IntegerMatrix._shaped(out, other.cols)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix([[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return IntegerMatrix._shaped(
+            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
+        )
 
     def delete_row_col(self, i: int, j: int) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [[v for jj, v in enumerate(row) if jj != j] for ii, row in enumerate(self._data) if ii != i]
+        return IntegerMatrix._shaped(
+            [[v for jj, v in enumerate(row) if jj != j] for ii, row in enumerate(self._data) if ii != i],
+            self.cols - 1,
         )
 
     def is_symmetric(self) -> bool:
@@ -457,7 +466,7 @@ class Elimination(NamedTuple):
     ``core`` keeps the rows and columns that held no pivot, in their
     original order; ``M.rows - core.rows`` pivots were taken.  When every
     pivot is +-1, the core presents the cokernel of M on ``M.cols`` less
-    that many generators (a core with no rows keeps no width to show it).
+    that many generators.
     """
 
     core: IntegerMatrix
@@ -559,7 +568,9 @@ def eliminate_pivots(matrix: IntegerMatrix, is_pivot: Callable[[int], bool]) -> 
     keep_rows = [i for i, row in enumerate(rows) if row is not None]
     keep_cols = [j for j, occ in enumerate(occupied) if occ is not None]
     sign = _permutation_sign(pivot_rows + keep_rows) * _permutation_sign(pivot_cols + keep_cols)
-    core = IntegerMatrix([[rows[i].get(j, 0) for j in keep_cols] for i in keep_rows])
+    core = IntegerMatrix._shaped(
+        [[rows[i].get(j, 0) for j in keep_cols] for i in keep_rows], len(keep_cols)
+    )
     return Elimination(core, _product(pivots), sign, _product(scalings))
 
 

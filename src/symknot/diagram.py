@@ -369,11 +369,12 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
     """Parse PD-code text: whitespace-separated X[a,b,c,d] and O terms.
 
     ``#`` starts a comment running to end of line.  Raises PdSyntaxError,
-    ArcCountError or OrientationError, each carrying a stable ``code``.
+    ArcCountError or OrientationError, each carrying a stable ``code``; text
+    with no term is a PdSyntaxError, as no invariant is defined on it.
     """
     crossings = []
     loops = 0
-    for line in text.splitlines() or [""]:
+    for line in text.splitlines():
         line = line.split("#", 1)[0]
         for token in line.split():
             m = _TOKEN.match(token)
@@ -383,6 +384,8 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
                 loops += 1
             else:
                 crossings.append(tuple(int(g) for g in m.groups() if g is not None))
+    if not crossings and not loops:
+        raise PdSyntaxError("no X[...] or O term")
     d = PlanarDiagram(crossings, loops, name)
     d.orientation()
     return d

@@ -7,18 +7,18 @@ boundary, with a histogram of A-exponents and closed loops (L. Kauffman,
 *State models and the Jones polynomial*, Topology 26 (1987); the scan is
 the one of D. Bar-Natan, arXiv:math/0606318).  Jones is the bracket's
 writhe-normalized rewrite in the quantum variable.  The Alexander
-polynomial is the determinant of a first minor of the Fox matrix of the
-Wirtinger presentation, whose entries, each row shifted by a power of t,
-are c0 + c1 t.  Kronecker substitution makes it one integer determinant:
-the minor is evaluated at t = 2^b, with 2^b past twice the product of the
-relator lengths (4^m for an m x m minor), which bounds the rows'
-coefficient 1-norms and so every coefficient of the determinant.  Every
-Fox row holds a +1 and a -t^k, units of Z[t^+-1]: the sparse elimination
-of ``algebra.eliminate_pivots`` clears the entries equal to +-2^(bk),
-which changes the determinant only by a unit, and ``IntegerMatrix``
-takes the determinant of the few rows left.  Its signed base-2^b digits
-are the coefficients.  The knot determinant |Delta(-1)| is read off the
-polynomial, so no second Fox minor is built for it.  Two Jones
+polynomial is the determinant of a first minor of the Alexander matrix,
+whose rows are read straight off the crossings, three entries c0 + c1 t
+each.  Kronecker substitution makes it one integer determinant: the
+minor is evaluated at t = 2^b, with 2^b past twice 4^m for an m x m
+minor, the product of the rows' coefficient 1-norms, which bounds every
+coefficient of the determinant.  Every row holds a +1 and a -t^k, units
+of Z[t^+-1]: the sparse elimination of ``algebra.eliminate_pivots``
+clears the entries equal to +-2^(bk), which changes the determinant only
+by a unit, and ``IntegerMatrix`` takes the determinant of the few rows
+left.  Its signed base-2^b digits are the coefficients.  The knot
+determinant |Delta(-1)| is read off the polynomial, so no second minor
+is built for it.  Two Jones
 conventions are exposed: :func:`jones` gives the unnormalized polynomial
 whose value on the unknot is q + q^-1 (the one that matches graded Euler
 characteristics of the homology layer), and :func:`jones_normalized`
@@ -27,19 +27,14 @@ divides that unknot factor out.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots
 from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, scan_order, scan_width
 
 __all__ = [
     "BRACKET_BUDGET",
-    "WirtingerPresentation",
     "kauffman_bracket",
     "jones",
     "jones_normalized",
-    "wirtinger",
     "alexander",
     "determinant_alexander",
 ]
@@ -156,83 +151,30 @@ def jones_normalized(d: PlanarDiagram) -> LaurentPolynomial:
     return jones(d).exact_div(LaurentPolynomial({1: 1, -1: 1}))
 
 
-@dataclass(frozen=True)
-class WirtingerPresentation:
-    """Knot group presentation read off the diagram.
+def _alexander_minor(d: PlanarDiagram, t: int) -> IntegerMatrix:
+    """First minor of the Alexander matrix at the integer t: crossing 0 and arc 0 deleted.
 
-    One generator per arc (maximal over-strand: PD edges merged across
-    the two over slots of every crossing) and one length-4 relator per
-    crossing.  Relators are words ((generator, exponent), ...) with the
-    pattern out * over * in^-1 * over^-1 for positive crossings and the
-    over-conjugation reversed for negative ones.
+    Arcs are the over-strands, PD edges merged across the two over slots of
+    every crossing, numbered in the order of their roots.  A positive
+    crossing's row holds 1, t - 1 and -t on the arcs of x[2], x[1] and x[0],
+    a negative one's t, 1 - t and -1 (J. W. Alexander, Trans. AMS 30 (1928)
+    275-306); these are the Fox derivatives of its Wirtinger relator, shifted
+    to lowest exponent 0, so the minor's determinant is +-t^k Delta(t).  The
+    union direction and the root numbering fix which minor this is, and the
+    monomial-pivot elimination leaves a small core only on some of them.
     """
-
-    generators: tuple[str, ...]
-    relators: tuple[tuple[tuple[int, int], ...], ...]
-
-    def abelianized_matrix(self) -> IntegerMatrix:
-        """Exponent-sum matrix, relators x generators."""
-        rows = []
-        for word in self.relators:
-            row = [0] * len(self.generators)
-            for g, e in word:
-                row[g] += e
-            rows.append(row)
-        return IntegerMatrix(rows) if rows else IntegerMatrix.zero(0, len(self.generators))
-
-
-def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
-    """Wirtinger presentation; each crossingless loop adds a free generator."""
     xs = d.crossings
-    labels = sorted({a for x in xs for a in x})
-    index = {a: i for i, a in enumerate(labels)}
-    parent = list(range(len(labels)))
+    parent = {a: a for x in xs for a in x}
     for ci, x in enumerate(xs):
         over_in = d.over_in_slot(ci)
-        a, b = index[x[over_in]], index[x[(over_in + 2) % 4]]
-        parent[find(parent, a)] = find(parent, b)
-    roots = sorted({find(parent, i) for i in range(len(labels))})
-    gen_of_root = {r: g for g, r in enumerate(roots)}
-    arc = {lab: gen_of_root[find(parent, index[lab])] for lab in labels}
-
-    relators = []
-    for ci, x in enumerate(xs):
-        over = arc[x[1]]
-        under_in, under_out = arc[x[0]], arc[x[2]]
-        if d.signs()[ci] > 0:
-            word = ((under_out, 1), (over, 1), (under_in, -1), (over, -1))
-        else:
-            word = ((under_out, 1), (over, -1), (under_in, -1), (over, 1))
-        relators.append(word)
-    # from a list: tuple(<generator>) resizes its tuple, and without a full
-    # collection that leaves CPython's tuple free lists growing call by call
-    gens = tuple([f"x{g + 1}" for g in range(len(roots) + d.loops)])
-    return WirtingerPresentation(gens, tuple(relators))
-
-
-def _fox_minor(pres: WirtingerPresentation, t: int) -> IntegerMatrix:
-    """First Fox minor (first relator and generator deleted) at the integer t.
-
-    Each relator's Fox derivatives are shifted by the power of t that makes
-    their lowest exponent 0, so every entry is c0 + c1 t and the minor's
-    determinant is +-t^k Delta(t), which the Alexander normalization
-    re-centres.
-    """
+        parent[find(parent, x[over_in])] = find(parent, x[over_in ^ 2])
+    column = {r: j for j, r in enumerate(sorted({find(parent, a) for a in parent}))}
     rows = []
-    for word in pres.relators[1:]:
-        terms = []
-        prefix = 0  # running exponent of t
-        for gen, e in word:
-            if e == 1:
-                terms.append((gen, prefix, 1))
-                prefix += 1
-            else:
-                prefix -= 1
-                terms.append((gen, prefix, -1))
-        low = min(k for _, k, _ in terms)
-        row = [0] * len(pres.generators)
-        for gen, k, c in terms:
-            row[gen] += c * t ** (k - low)
+    for x, sign in zip(xs[1:], d.signs()[1:]):
+        row = [0] * len(column)
+        entries = (1, t - 1, -t) if sign > 0 else (t, 1 - t, -1)
+        for label, entry in zip((x[2], x[1], x[0]), entries):
+            row[column[find(parent, label)]] += entry
         rows.append(row[1:])
     return IntegerMatrix(rows)
 
@@ -244,11 +186,9 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
         raise ValueError("Alexander polynomial needs a one-component diagram")
     if len(d.crossings) <= 1:
         return LaurentPolynomial({0: 1})
-    pres = wirtinger(d)
-    # a Fox row has coefficient 1-norm at most its relator's length, and
-    # every coefficient of the minor's determinant at most their product
-    bound = math.prod(len(word) for word in pres.relators[1:])
-    b = (2 * bound).bit_length()
+    # every row has coefficient 1-norm 4, and every coefficient of the
+    # minor's determinant is at most the product of the rows' norms
+    b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
 
     def is_monomial(x: int) -> bool:  # x == +-2^(bk) == +-t^k
         x = abs(x)
@@ -258,14 +198,14 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     # is the minor's times a unit +-t^K, which the normalization removes: a
     # row update either scales the row by the pivot or divides the entry by
     # it exactly.  Either way every entry stays an integer and stays t^K (K
-    # of either sign) times a minor of the Fox matrix, so its coefficients
+    # of either sign) times a minor of the Alexander matrix, so its coefficients
     # stay under the bound above.  Its base-2^b digits are then unique: an
     # entry equal to +-2^(bk) is the monomial +-t^k, 2^(bk) divides an entry
     # exactly when t^k does, and the core's determinant decodes as the
     # minor's would.
-    value = eliminate_pivots(_fox_minor(pres, 1 << b), is_monomial).core.determinant()
+    value = eliminate_pivots(_alexander_minor(d, 1 << b), is_monomial).core.determinant()
     if value == 0:
-        # every first minor of a knot's Fox matrix is +-t^k Delta(t), never 0
+        # every first minor of a knot's Alexander matrix is +-t^k Delta(t), never 0
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")
     half, mask = 1 << (b - 1), (1 << b) - 1
     digits = []  # value = sum of digits[k] * 2^(bk), each |digit| < 2^(b-1)

@@ -7,7 +7,6 @@ and the cross-cutting property suites.  Timing bounds are asserted
 where the expectation includes one.
 """
 
-import math
 import random
 import re
 import time
@@ -50,7 +49,7 @@ from symknot.obstruction import (
     SATISFIES_CCC,
     ccc_verdict,
 )
-from symknot.polynomials import _fox_minor, alexander, determinant_alexander, jones, wirtinger
+from symknot.polynomials import _alexander_minor, alexander, determinant_alexander, jones
 
 MODULE_T0 = time.perf_counter()
 
@@ -150,20 +149,19 @@ def test_classical_invariants_of_large_members():
 
 
 def test_unit_pivots_leave_small_cores_on_the_family():
-    # every Fox row holds two units and a twist region's Goeritz rows +-1
-    # entries, so at most 4 rows are left for Bareiss or Smith form, however
-    # long the twist region
+    # every Alexander row holds two units and a twist region's Goeritz rows
+    # +-1 entries, so at most 4 rows are left for Bareiss or Smith form,
+    # however long the twist region
     unit = lambda x: abs(x) == 1
     for n in (-200, -7, 0, 1, 28, 200):
         d = kn_template(n)
-        pres = wirtinger(d)
-        b = (2 * math.prod(len(word) for word in pres.relators[1:])).bit_length()
+        b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
 
         def monomial(x):
             x = abs(x)
             return x & (x - 1) == 0 and (x.bit_length() - 1) % b == 0
 
-        minors = [(_fox_minor(pres, 1 << b), monomial), (_fox_minor(pres, -1), unit)]
+        minors = [(_alexander_minor(d, 1 << b), monomial), (_alexander_minor(d, -1), unit)]
         minors += [(data.goeritz, unit) for data in _both_classes(d)]
         for m, is_pivot in minors:
             assert eliminate_pivots(m, is_pivot).core.rows <= 4, (n, m.rows)

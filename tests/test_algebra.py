@@ -87,6 +87,12 @@ def test_laurent_exact_div():
         assert (a * b).exact_div(b) == a
     with pytest.raises(ValueError):
         L({1: 1, 0: 1}).exact_div(L({1: 2}))
+    # the leading coefficients divide at every step, but no quotient term
+    # may fall below the dividend's lowest exponent less the divisor's
+    with pytest.raises(ValueError):
+        L({0: 1}).exact_div(L({1: 1, -1: 1}))
+    with pytest.raises(ValueError):
+        L({3: 1, 0: 1}).exact_div(L({1: 1, 0: -1}))
     with pytest.raises(ZeroDivisionError):
         L({0: 1}).exact_div(L())
 
@@ -111,6 +117,12 @@ def test_integer_matrix_basics():
     # a matrix without rows keeps its columns, and its shape counts
     assert IntegerMatrix.zero(0, 3).cols == 3
     assert IntegerMatrix.zero(0, 3) != IntegerMatrix.zero(0, 0)
+    # so does every operation that leaves no rows
+    assert IntegerMatrix.zero(0, 3) * IntegerMatrix.zero(3, 4) == IntegerMatrix.zero(0, 4)
+    assert IntegerMatrix([[1, 2, 3]]).delete_row_col(0, 0) == IntegerMatrix.zero(0, 2)
+    assert IntegerMatrix.zero(2, 0).transpose() == IntegerMatrix.zero(0, 2)
+    core = eliminate_pivots(IntegerMatrix([[1, 2, 3]]), lambda x: abs(x) == 1).core
+    assert core == IntegerMatrix.zero(0, 2)
 
 
 def test_determinant_bareiss():
@@ -233,6 +245,8 @@ def test_cokernel():
     assert cokernel(IntegerMatrix([[7, 4], [0, 7]])) == AbelianGroup((49,))
     assert cokernel(IntegerMatrix([[0, 0], [0, 0]])) == AbelianGroup((), 2)
     assert cokernel(IntegerMatrix([[1, 0], [0, 1]])) == AbelianGroup()
+    # two generators and no relation
+    assert cokernel(IntegerMatrix([[1, 2, 3]]).delete_row_col(0, 0)) == AbelianGroup((), 2)
     assert cokernel(goeritz_like(7)) == AbelianGroup((7, 7))
     assert cokernel(goeritz_like(1)) == AbelianGroup((49,))
 

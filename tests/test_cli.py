@@ -85,6 +85,9 @@ def test_parse_errors_exit_2(capsys):
     for argv in (
         ["invariants", "--pd", "X[1,2,3] X[3,2,4,1]"],
         ["invariants", "--pd", "garbage"],
+        ["invariants", "--pd", ""],
+        ["invariants", "--pd", "# only a comment"],
+        ["kh", "--pd", ""],
         ["invariants", "--knot", "nosuch"],
         ["invariants"],
         ["invariants", "--knot", "5_2", "--pd", "O"],
@@ -240,15 +243,15 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
 
 def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     engines = ((khovanov, "scan_homology"), (goeritz, "_both_classes"),
-               (polynomials, "_fox_minor"), (polynomials, "_bracket_counts"))
+               (polynomials, "_alexander_minor"), (polynomials, "_bracket_counts"))
     calls = {name: count_calls(monkeypatch, module, name) for module, name in engines}
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
     # two scans (Q, F2), one Goeritz channel (H1, whose order is its
-    # determinant), one Fox minor (Alexander, whose value at -1 is its
+    # determinant), one Alexander minor (Alexander, whose value at -1 is its
     # determinant), one bracket; the verdict reuses all of them
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"scan_homology": 2, "_both_classes": 1, "_fox_minor": 1,
+    assert counts == {"scan_homology": 2, "_both_classes": 1, "_alexander_minor": 1,
                       "_bracket_counts": 1}
     d = kn_template(3)
     stages = [

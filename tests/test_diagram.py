@@ -48,7 +48,6 @@ def test_parse_serialize_roundtrip():
         "X[1,1,2,2]",
         "X[1,2,2,3] X[3,4,4,1] O O",
         "O",
-        "",
     ):
         assert parse_pd(text).serialize() == text
 
@@ -60,6 +59,10 @@ def test_parse_rejects_malformed_terms():
         parse_pd("X[1,2,3,4] X[1,4,3,2] junk")
     with pytest.raises(PdSyntaxError):
         parse_pd("X[0,1,0,1]")  # labels are 1-based
+    # no term at all: the empty diagram has no invariant to compute
+    for text in ("", "  \n", "# only a comment"):
+        with pytest.raises(PdSyntaxError):
+            parse_pd(text)
     with pytest.raises(ArcCountError):
         parse_pd("X[1,2,3,4] X[1,2,3,5]")
     assert ArcCountError.code == "ARC_COUNT"

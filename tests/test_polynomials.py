@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from alexander_oracle import alexander_laurent
+from alexander_oracle import alexander_laurent, fox_minor, wirtinger
 from bracket_oracle import bracket_state_sum
 from test_khovanov import EULER_CORPUS, random_braid_corpus
 
@@ -37,7 +37,6 @@ from symknot.polynomials import (
     jones,
     jones_normalized,
     kauffman_bracket,
-    wirtinger,
 )
 
 L = LaurentPolynomial
@@ -260,6 +259,20 @@ def test_alexander_equals_laurent_oracle():
         assert dets == (h1_branched_cover(d).order(),) * 3, d.serialize()
 
 
+def test_alexander_minor_equals_fox_minor_of_wirtinger():
+    # the rows read off the crossings are the word-level Fox derivatives of
+    # the Wirtinger relators, on the same arcs: the same minor, not only one
+    # with the same determinant, as the elimination's cost depends on which
+    zoo = EULER_CORPUS + [knot_10_22(), pretzel(-2, 3, 3)]
+    zoo += [kn_template(n) for n in range(-12, 13)]
+    knots = [d for d in zoo + random_braid_corpus() if d.n_components() == 1 and d.crossings]
+    knots += _rational_knots(seed=1928, count=40, most=40)
+    for d in knots:
+        b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
+        for t in (-1, 2, 1 << b):
+            assert polynomials._alexander_minor(d, t) == fox_minor(wirtinger(d), t), d.serialize()
+
+
 def test_alexander_of_twist_knots():
     # the twist knot [1, 1, m] has Delta = k t - (2k - 1) + k t^-1 for m = 2k - 1
     # and -k t + (2k + 1) - k t^-1 for m = 2k, on a minor of m + 1 rows
@@ -269,15 +282,15 @@ def test_alexander_of_twist_knots():
 
 
 def _corrupt_first_row(monkeypatch, corrupt):
-    """Make ``_fox_minor`` return ``corrupt(first row, t)`` in place of its first row."""
+    """Make ``_alexander_minor`` return ``corrupt(first row, t)`` in place of its first row."""
     monkeypatch.undo()
-    minor = polynomials._fox_minor
+    minor = polynomials._alexander_minor
 
-    def corrupted(pres, t):
-        first, *rest = minor(pres, t).to_lists()
+    def corrupted(d, t):
+        first, *rest = minor(d, t).to_lists()
         return IntegerMatrix([corrupt(first, t), *rest])
 
-    monkeypatch.setattr(polynomials, "_fox_minor", corrupted)
+    monkeypatch.setattr(polynomials, "_alexander_minor", corrupted)
 
 
 def test_vanishing_fox_minor_raises(monkeypatch):
