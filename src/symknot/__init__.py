@@ -6,7 +6,7 @@ Submodules:
 - ``diagram``: PD codes, orientation, faces, and diagram surgery
 - ``fixtures``: known diagrams and parametric diagram generators
 - ``polynomials``: bracket, Jones, Alexander, determinant
-- ``goeritz``: checkerboard forms and branched double cover homology
+- ``goeritz``: the Goeritz matrix and branched double cover homology
 - ``khovanov``: bigraded homology over Q and F2
 - ``obstruction``: certificate pipeline combining the above
 - ``cli``: command line front end
@@ -32,14 +32,7 @@ from .diagram import (
     symmetric_union,
     twist_insert,
 )
-from .goeritz import (
-    CheckerboardColoring,
-    GoeritzData,
-    checkerboard,
-    determinant_goeritz,
-    goeritz_matrix,
-    h1_branched_cover,
-)
+from .goeritz import determinant_goeritz, goeritz_matrix, h1_branched_cover
 from .khovanov import (
     F2,
     RATIONAL,
@@ -93,9 +86,6 @@ __all__ = [
     "resolve_crossing",
     "symmetric_union",
     "twist_insert",
-    "CheckerboardColoring",
-    "GoeritzData",
-    "checkerboard",
     "determinant_goeritz",
     "goeritz_matrix",
     "h1_branched_cover",

@@ -461,8 +461,9 @@ def _permutation_sign(perm: list[int]) -> int:
 
 
 class Elimination(NamedTuple):
-    """What ``eliminate_pivots`` leaves: ``det(M) * scale == sign * pivot_product * det(core)``.
+    """What ``eliminate_pivots`` leaves.
 
+    ``det(M) * scale == sign * pivot_product * det(core) * 2**shift``.
     ``core`` keeps the rows and columns that held no pivot, in their
     original order; ``M.rows - core.rows`` pivots were taken.  When every
     pivot is +-1, the core presents the cokernel of M on ``M.cols`` less
@@ -473,9 +474,12 @@ class Elimination(NamedTuple):
     pivot_product: int
     sign: int
     scale: int
+    shift: int
 
 
-def eliminate_pivots(matrix: IntegerMatrix, is_pivot: Callable[[int], bool]) -> Elimination:
+def eliminate_pivots(
+    matrix: IntegerMatrix, is_pivot: Callable[[int], bool], unit_bits: int = 0
+) -> Elimination:
     """Sparse fraction-free elimination of the entries ``is_pivot`` accepts.
 
     Rows are dicts of their nonzero entries, and each column keeps the set
@@ -492,6 +496,13 @@ def eliminate_pivots(matrix: IntegerMatrix, is_pivot: Callable[[int], bool]) -> 
     pivots with a cost no larger than their current one: an entry is pushed
     again whenever its row or column may have shrunk, and a popped entry
     whose cost has grown is pushed back, so no step rescans the matrix.
+
+    ``unit_bits`` = b says that the entries are Laurent polynomials over Z
+    evaluated at t = 2^b, in which 2^b stands for the unit t.  Each updated
+    row is then shifted right by the largest multiple of b that divides all
+    its entries, and ``shift`` totals the bits removed.  A scaled row would
+    otherwise keep the spurious power of t the pivot brought in, and rows
+    scaled by rows scaled before compound it without end.
     """
     # nonzero positions and values, picked out at C speed from the dense rows
     rows: list[dict[int, int] | None] = [
@@ -515,6 +526,7 @@ def eliminate_pivots(matrix: IntegerMatrix, is_pivot: Callable[[int], bool]) -> 
     pivot_cols: list[int] = []
     pivots: list[int] = []
     scalings: list[int] = []
+    shift = 0
     while heap:
         cost, r, c = heapq.heappop(heap)
         row = rows[r]
@@ -555,6 +567,16 @@ def eliminate_pivots(matrix: IntegerMatrix, is_pivot: Callable[[int], bool]) -> 
                 elif j in target:
                     del target[j]
                     occupied[j].discard(i)
+            if unit_bits and target:
+                low = 0
+                for x in target.values():
+                    low |= x
+                k = (low & -low).bit_length() - 1
+                k -= k % unit_bits
+                if k:
+                    shift += k
+                    target = {j: x >> k for j, x in target.items()}
+                    rows[i] = target
             for j, v in target.items():
                 if is_pivot(v):
                     push(i, j)
@@ -571,7 +593,7 @@ def eliminate_pivots(matrix: IntegerMatrix, is_pivot: Callable[[int], bool]) -> 
     core = IntegerMatrix._shaped(
         [[rows[i].get(j, 0) for j in keep_cols] for i in keep_rows], len(keep_cols)
     )
-    return Elimination(core, _product(pivots), sign, _product(scalings))
+    return Elimination(core, _product(pivots), sign, _product(scalings), shift)
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,7 @@ KH_52_TABLE = {
 }
 
 ALEXANDER_KN_EVEN = {2: 4, 1: -12, 0: 17, -1: -12, -2: 4}
+ALEXANDER_KN_ODD = {2: 2, 1: -12, 0: 21, -1: -12, -2: 2}
 
 UNLINK_KH = {(-2, 0): 1, (0, 0): 2, (2, 0): 1}
 
@@ -425,14 +426,14 @@ def _check_det(ctx):
 
 
 def _check_alexander(ctx):
-    want = LaurentPolynomial(ALEXANDER_KN_EVEN)
+    even, odd = LaurentPolynomial(ALEXANDER_KN_EVEN), LaurentPolynomial(ALEXANDER_KN_ODD)
     square = alexander(_d(ctx, knot_5_2())) ** 2
     yield _row(
-        "alexander", "(Delta 5_2)^2 == frozen", square == want,
-        want.format("t"), square.format("t"),
+        "alexander", "(Delta 5_2)^2 == frozen", square == even,
+        even.format("t"), square.format("t"),
     )
-    ns = [n for n in (ctx["n_range"] or (0, 2, 4)) if n % 2 == 0]
-    for n in ns:
+    for n in ctx["n_range"] or range(-4, 5):
+        want = odd if n % 2 else even
         got = alexander(_d(ctx, kn_template(n)))
         yield _row(
             "alexander", f"Delta(K_{n})", got == want, want.format("t"), got.format("t")

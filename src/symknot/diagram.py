@@ -326,14 +326,6 @@ class PlanarDiagram:
             )
         return faces
 
-    def face_of_corner(self) -> dict[tuple[int, int], int]:
-        """Corner between slots k and k+1 of a crossing -> face index."""
-        where = {}
-        for fi, cyc in enumerate(self.faces()):
-            for ci, slot in cyc:
-                where[(ci, (slot - 1) % 4)] = fi
-        return where
-
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> str:
@@ -600,12 +592,18 @@ def _cut_channel(
     edge-end and a fresh id replaces the other.  Returns the corner list,
     the rail ends (xa, xb, ya, yb) with y's two pieces exchanged if
     ``swap``, and the id bound.
+
+    ``assemble_corners`` starts each strand at its lowest (crossing,
+    corner), which is always the NW or NE corner of a crossing of ``d``.
+    Each crossing is turned so that both are edge-ends the strands leave by
+    in ``d``: every strand then runs against its flow in ``d``, and the
+    crossing signs are kept.
     """
     idx = {lab: k for k, lab in enumerate(d.arcs)}
     fresh = len(idx)
     pieces: dict[int, tuple[int, int]] = {}
     xs = []
-    for c in d.crossings:
+    for c, sign in zip(d.crossings, d.signs()):
         corners = [0, 0, 0, 0]
         for slot, lab in enumerate(c):
             w = idx[lab]
@@ -615,7 +613,10 @@ def _cut_channel(
                 pieces[lab] = (w, fresh)
                 fresh += 1
             corners[_SLOT_CORNER[slot]] = w
-        xs.append(((corners[0], corners[1], corners[2], corners[3]), True))
+        nw, ne, sw, se = corners
+        # a positive crossing is left by slots 2 and 1, which sit at NW and NE;
+        # a negative one by 2 and 3, which a clockwise quarter turn puts there
+        xs.append(((nw, ne, sw, se), True) if sign > 0 else ((sw, nw, se, ne), False))
     ya, yb = pieces[y][::-1] if swap else pieces[y]
     return xs, (*pieces[x], ya, yb), fresh
 
@@ -720,8 +721,10 @@ def twist_insert(d: PlanarDiagram, site: TangleSite, n: int) -> "SymmetricUnion"
     distinct edges of one component that border a common face and run
     against each other through it; the twist ladder is drawn through that
     face, cutting both edges open and braiding the four cut ends.  Positive
-    ``n`` makes positive crossings.  ``n == 0`` validates the channel and
-    returns the diagram's crossings unchanged.  The result is a new
+    ``n`` makes positive crossings.  Every strand of the result runs against
+    its flow in ``d``, so each crossing of ``d`` keeps its sign, on links
+    too.  ``n == 0`` validates the channel and returns the diagram's
+    crossings unchanged.  The result is a new
     ``SymmetricUnion`` recording the twist region's own site, so the region
     can be re-resolved later; the infinity tangle on the same channel is
     ``fusion_resolution``.

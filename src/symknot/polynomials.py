@@ -14,9 +14,9 @@ minor is evaluated at t = 2^b, with 2^b past twice 4^m for an m x m
 minor, the product of the rows' coefficient 1-norms, which bounds every
 coefficient of the determinant.  Every row holds a +1 and a -t^k, units
 of Z[t^+-1]: the sparse elimination of ``algebra.eliminate_pivots``
-clears the entries equal to +-2^(bk), which changes the determinant only
-by a unit, and ``IntegerMatrix`` takes the determinant of the few rows
-left.  Its signed base-2^b digits are the coefficients.  The knot
+clears the entries equal to +-2^(bk) and divides each updated row by its
+common power of t, which changes the determinant only by a unit, and
+``IntegerMatrix`` takes the determinant of the few rows left.  Its signed base-2^b digits are the coefficients.  The knot
 determinant |Delta(-1)| is read off the polynomial, so no second minor
 is built for it.  Two Jones
 conventions are exposed: :func:`jones` gives the unnormalized polynomial
@@ -197,13 +197,15 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     # Eliminating the units +-t^k of Z[t^+-1] leaves a core whose determinant
     # is the minor's times a unit +-t^K, which the normalization removes: a
     # row update either scales the row by the pivot or divides the entry by
-    # it exactly.  Either way every entry stays an integer and stays t^K (K
-    # of either sign) times a minor of the Alexander matrix, so its coefficients
-    # stay under the bound above.  Its base-2^b digits are then unique: an
-    # entry equal to +-2^(bk) is the monomial +-t^k, 2^(bk) divides an entry
+    # it exactly, and the row's common power of t is then divided out.
+    # Either way every entry stays an integer and stays t^K (K of either
+    # sign) times a minor of the Alexander matrix, so its coefficients stay
+    # under the bound above.  Its base-2^b digits are then unique: an entry
+    # equal to +-2^(bk) is the monomial +-t^k, 2^(bk) divides an entry
     # exactly when t^k does, and the core's determinant decodes as the
     # minor's would.
-    value = eliminate_pivots(_alexander_minor(d, 1 << b), is_monomial).core.determinant()
+    elim = eliminate_pivots(_alexander_minor(d, 1 << b), is_monomial, b)
+    value = elim.core.determinant()
     if value == 0:
         # every first minor of a knot's Alexander matrix is +-t^k Delta(t), never 0
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")

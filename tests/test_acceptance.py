@@ -14,6 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from alexander_oracle import alexander_laurent
+from goeritz_oracle import goeritz_matrix as oracle_goeritz, other_class
 
 from symknot.algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots, smith_normal_form
 from symknot.diagram import mirror
@@ -30,7 +31,7 @@ from symknot.fixtures import (
     unknot_r2,
     unknot_zero,
 )
-from symknot.goeritz import _both_classes, determinant_goeritz, h1_branched_cover
+from symknot.goeritz import determinant_goeritz, goeritz_matrix, h1_branched_cover
 from symknot.khovanov import (
     F2,
     RATIONAL,
@@ -162,7 +163,7 @@ def test_unit_pivots_leave_small_cores_on_the_family():
             return x & (x - 1) == 0 and (x.bit_length() - 1) % b == 0
 
         minors = [(_alexander_minor(d, 1 << b), monomial), (_alexander_minor(d, -1), unit)]
-        minors += [(data.goeritz, unit) for data in _both_classes(d)]
+        minors += [(goeritz_matrix(d), unit), (oracle_goeritz(d, other_class(d)).goeritz, unit)]
         for m, is_pivot in minors:
             assert eliminate_pivots(m, is_pivot).core.rows <= 4, (n, m.rows)
 

@@ -321,17 +321,25 @@ def test_cokernel_matches_smith_of_the_whole_matrix():
     ids=["units", "every-entry", "twos", "multiples-of-3"],
 )
 def test_elimination_bookkeeping(is_pivot):
-    # det(M) * scale == sign * pivot_product * det(core), whichever entries
-    # may pivot; the core keeps no entry that could
+    # det(M) * scale == sign * pivot_product * det(core) * 2^shift, whichever
+    # entries may pivot and whichever power of 2 stands for the unit t; the
+    # core keeps no entry that could pivot
+    shifted = 0
     for rows, _ in sparse_corpus(31337):
         m = IntegerMatrix(rows)
-        elim = eliminate_pivots(m, is_pivot)
-        core = elim.core.to_lists()
-        taken = m.rows - elim.core.rows
-        assert elim.core.cols == (m.cols - taken if core else 0)
-        assert elim.sign in (1, -1) and elim.scale != 0
-        assert not any(x and is_pivot(x) for row in core for x in row)
-        assert bareiss_det(rows) * elim.scale == elim.sign * elim.pivot_product * bareiss_det(core)
+        for unit_bits in (0, 1, 2):
+            elim = eliminate_pivots(m, is_pivot, unit_bits)
+            core = elim.core.to_lists()
+            taken = m.rows - elim.core.rows
+            assert elim.core.cols == (m.cols - taken if core else 0)
+            assert elim.sign in (1, -1) and elim.scale != 0
+            assert not any(x and is_pivot(x) for row in core for x in row)
+            assert elim.shift % max(unit_bits, 1) == 0 and (elim.shift == 0 or unit_bits)
+            assert bareiss_det(rows) * elim.scale == (
+                elim.sign * elim.pivot_product * bareiss_det(core) << elim.shift
+            )
+            shifted += elim.shift > 0
+    assert shifted > 5
 
 
 def test_bigraded_dims():

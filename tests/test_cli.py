@@ -211,6 +211,12 @@ def test_verify_paper_subsets(capsys):
     assert main(["verify-paper", "--only", "h1", "--n-range", "-2..2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS h1") == 5
+    # both parities: the odd members have their own polynomial
+    assert main(["verify-paper", "--only", "alexander", "--n-range", "-3..3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("PASS alexander") == 1 + 7 and "FAIL" not in out
+    for n in (-3, -1, 1, 3):
+        assert f"Delta(K_{n})" in out, n
 
 
 def test_verify_paper_bad_flags(capsys):
@@ -242,16 +248,16 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
 
 
 def test_invariants_runs_each_stage_once(capsys, monkeypatch):
-    engines = ((khovanov, "scan_homology"), (goeritz, "_both_classes"),
+    engines = ((khovanov, "scan_homology"), (goeritz, "goeritz_matrix"),
                (polynomials, "_alexander_minor"), (polynomials, "_bracket_counts"))
     calls = {name: count_calls(monkeypatch, module, name) for module, name in engines}
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
-    # two scans (Q, F2), one Goeritz channel (H1, whose order is its
+    # two scans (Q, F2), one Goeritz matrix (H1, whose order is its
     # determinant), one Alexander minor (Alexander, whose value at -1 is its
     # determinant), one bracket; the verdict reuses all of them
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"scan_homology": 2, "_both_classes": 1, "_alexander_minor": 1,
+    assert counts == {"scan_homology": 2, "goeritz_matrix": 1, "_alexander_minor": 1,
                       "_bracket_counts": 1}
     d = kn_template(3)
     stages = [

@@ -1,4 +1,10 @@
+import random
+
 import pytest
+from goeritz_oracle import checkerboard, goeritz_matrix as oracle_goeritz, other_class
+from test_fixtures import _rational_corpus
+from test_khovanov import random_braid_corpus
+from test_properties import _relabelled
 
 from symknot.algebra import AbelianGroup, IntegerMatrix, cokernel, smith_normal_form
 from symknot import goeritz
@@ -17,12 +23,7 @@ from symknot.fixtures import (
     unknot_r2,
     unknot_zero,
 )
-from symknot.goeritz import (
-    checkerboard,
-    determinant_goeritz,
-    goeritz_matrix,
-    h1_branched_cover,
-)
+from symknot.goeritz import determinant_goeritz, goeritz_matrix, h1_branched_cover
 from symknot.polynomials import determinant_alexander
 
 CORPUS = [
@@ -72,6 +73,8 @@ def test_coloring_class_counts():
 def test_coloring_rejects_disconnected():
     with pytest.raises(DiagramStructureError):
         checkerboard(two_unlink())
+    with pytest.raises(DiagramStructureError):
+        goeritz_matrix(two_unlink())
 
 
 def test_goeritz_structure():
@@ -79,7 +82,7 @@ def test_goeritz_structure():
         d = build()
         if not d.crossings:
             continue
-        data = goeritz_matrix(d, checkerboard(d))
+        data = oracle_goeritz(d, checkerboard(d))
         gp = data.g_prime
         assert gp.is_symmetric()
         assert all(s == 0 for s in gp.row_sums())
@@ -91,12 +94,37 @@ def test_goeritz_structure():
 
 def test_kink_goeritz_degenerate():
     d = unknot_kink(1)
-    small = goeritz_matrix(d, checkerboard(d, white_class=0))
-    big = goeritz_matrix(d, checkerboard(d, white_class=1))
+    small = oracle_goeritz(d, checkerboard(d, white_class=0))
+    big = oracle_goeritz(d, checkerboard(d, white_class=1))
     sizes = {small.goeritz.rows, big.goeritz.rows}
     assert sizes == {0, 1}
     for data in (small, big):
         assert abs(data.goeritz.determinant()) == 1
+
+
+def _oracle_corpus():
+    """Connected knot diagrams and a seeded relabelled copy of each.
+
+    The zoo, K_n for |n| <= 30, and the knots of the braid, rational and
+    pretzel corpora.
+    """
+    diagrams = [build() for build in CORPUS] + [kn_template(n) for n in range(-30, 31)]
+    diagrams += random_braid_corpus() + _rational_corpus()
+    diagrams += [pretzel(p, q, r) for p in (-3, -1, 1, 3) for q in (-2, 1, 2) for r in (-3, 1, 3)]
+    knots = [d for d in diagrams if d.n_components() == 1 and d.is_connected()]
+    rng = random.Random(4947)
+    return knots + [_relabelled(d, rng) for d in knots]
+
+
+def test_goeritz_matrix_matches_oracle():
+    # the package matrix is the oracle's default class entry for entry, and
+    # the class it leaves out presents the same H1
+    corpus = _oracle_corpus()
+    assert len(corpus) > 400
+    for d in corpus:
+        assert goeritz_matrix(d) == oracle_goeritz(d, checkerboard(d)).goeritz, d.serialize()
+        other = oracle_goeritz(d, other_class(d)).goeritz
+        assert cokernel(other) == h1_branched_cover(d), d.serialize()
 
 
 def test_determinant_channels_agree():
@@ -157,11 +185,11 @@ def test_template_matrix_snf_class():
     # published 4x4 matrix, for every twist count
     for n in range(-8, 9):
         d = kn_template(n)
-        data = goeritz_matrix(d, checkerboard(d))
-        ours = [x for x in smith_normal_form(data.goeritz).diagonal if x != 1]
+        g = goeritz_matrix(d)
+        ours = [x for x in smith_normal_form(g).diagonal if x != 1]
         published = [x for x in smith_normal_form(paper_presentation(n)).diagonal if x != 1]
         assert ours == published, n
-        assert cokernel(data.goeritz) == cokernel(paper_presentation(n))
+        assert cokernel(g) == cokernel(paper_presentation(n))
 
 
 def test_rejects_links():
@@ -171,31 +199,12 @@ def test_rejects_links():
         h1_branched_cover(two_unlink())
 
 
-def _mismatch_colour_classes(monkeypatch):
-    """Pair each diagram's first colour class with the figure eight's second."""
-    both = goeritz._both_classes
-    monkeypatch.setattr(goeritz, "_both_classes", lambda d: (both(d)[0], both(figure_eight())[1]))
-
-
-def test_colour_classes_disagreeing_on_the_determinant_raise(monkeypatch):
-    # the determinant is read off H1, so the H1 check is the one that fires
-    _mismatch_colour_classes(monkeypatch)
-    with pytest.raises(InvariantError, match="color classes disagree on H1: Z/3 vs Z/5"):
-        determinant_goeritz(trefoil())
-
-
 def test_infinite_h1_on_a_knot_raises(monkeypatch):
     # a knot's cover is a rational homology sphere: a free summand is a fault,
     # reported as one rather than as AbelianGroup.order's ValueError
     monkeypatch.setattr(goeritz, "h1_branched_cover", lambda d: AbelianGroup((3,), 1))
     with pytest.raises(InvariantError, match="infinite"):
         determinant_goeritz(trefoil())
-
-
-def test_colour_classes_disagreeing_on_h1_raise(monkeypatch):
-    _mismatch_colour_classes(monkeypatch)
-    with pytest.raises(InvariantError, match="H1"):
-        h1_branched_cover(trefoil())
 
 
 if __name__ == "__main__":
