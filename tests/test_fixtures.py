@@ -5,11 +5,14 @@ import pytest
 from test_khovanov import random_braid_corpus
 
 from symknot.diagram import (
+    InvariantError,
     PdError,
     PlanarDiagram,
     SymmetricUnion,
+    TangleSite,
     fusion_resolution,
     resolve_crossing,
+    symmetric_union,
 )
 from symknot.fixtures import (
     braid_pd,
@@ -234,6 +237,42 @@ def test_kn_template_pd_codes_frozen():
         lines.append(f"{orient}|{d.n_components()}|{d.is_connected()}|{faces}")
     assert any(line.startswith("OrientationError") for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANDOM_PD_SHA256
+
+
+# sha256 of "PD code | signs | components | site | n | name", or the error
+# type, per (partial knot, band edge, twist edge, n), joined by newlines
+UNION_SHA256 = "bad8a19c898a0d945d43ceff33ad557fb352cf79e901f5cf4096ed6859eb62e4"
+
+
+def _union_outcome(j, band, twist, n):
+    try:
+        k = symmetric_union(j, TangleSite(band, twist, band, twist), n)
+    except (PdError, InvariantError) as e:
+        return type(e).__name__
+    return f"{k.serialize()}|{k.signs()}|{k.n_components()}|{k.site}|{k.n}|{k.name}"
+
+
+def test_symmetric_unions_frozen():
+    # every ordered pair of edges of seven partial knots as band and twist
+    # edges, equal pairs included, so the refusals are frozen too
+    partials = [
+        trefoil(True),
+        trefoil(False),
+        figure_eight(),
+        knot_5_2(True),
+        knot_5_2(False),
+        knot_10_22(),
+        rational_knot([2, 1, 3]),
+    ]
+    lines = [
+        _union_outcome(j, band, twist, n)
+        for j in partials
+        for band in j.arcs
+        for twist in j.arcs
+        for n in (-2, 0, 1, 3)
+    ]
+    assert sum(not line.endswith("Error") for line in lines) == 1328
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == UNION_SHA256
 
 
 if __name__ == "__main__":
