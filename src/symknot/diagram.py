@@ -436,22 +436,9 @@ def mirror(d: PlanarDiagram) -> PlanarDiagram:
     return PlanarDiagram(out, d.loops, f"mirror({d.name})" if d.name else None)
 
 
-def reflect(d: PlanarDiagram, offset: int = 0) -> PlanarDiagram:
-    """Planar reflection: cyclic order of each crossing reverses, over/under kept.
-
-    Optionally shifts every edge label by ``offset`` so the copy can be glued
-    next to the original.
-    """
-    out = [(a + offset, dd + offset, c + offset, b + offset) for (a, b, c, dd) in d.crossings]
-    return PlanarDiagram(out, d.loops)
-
-
-def _rewrite(crossings: Iterable[tuple[int, int, int, int]], pos_map: dict[tuple[int, int], int]):
-    """Replace labels at specific (crossing, slot) positions."""
-    out = []
-    for ci, x in enumerate(crossings):
-        out.append(tuple(pos_map.get((ci, slot), x[slot]) for slot in range(4)))
-    return out
+def reflect(d: PlanarDiagram) -> PlanarDiagram:
+    """Planar reflection: cyclic order of each crossing reverses, over/under kept."""
+    return PlanarDiagram([(a, dd, c, b) for (a, b, c, dd) in d.crossings], d.loops)
 
 
 def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram, arc1: int, arc2: int) -> PlanarDiagram:
@@ -465,10 +452,10 @@ def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram, arc1: int, arc2: int) ->
     a2 = arc2 + off
     # New edge (tail half of arc1 + head half of arc2) keeps label arc1;
     # new edge (tail half of arc2 + head half of arc1) keeps label a2.
-    crossings = _rewrite(d1.crossings, {d1.arc_head(arc1): a2}) + list(
-        _rewrite(d2s.crossings, {d2s.arc_head(a2): arc1})
-    )
-    return PlanarDiagram(crossings, d1.loops + d2.loops)
+    xs1, xs2 = [list(x) for x in d1.crossings], [list(x) for x in d2s.crossings]
+    (c1, s1), (c2, s2) = d1.arc_head(arc1), d2s.arc_head(a2)
+    xs1[c1][s1], xs2[c2][s2] = a2, arc1
+    return PlanarDiagram(xs1 + xs2, d1.loops + d2.loops)
 
 
 def _merge_and_relabel(
@@ -812,33 +799,22 @@ def symmetric_union(j: PlanarDiagram, site_spec: TangleSite, n: int) -> Symmetri
     """Symmetric union of ``j`` with its mirror image.
 
     ``site_spec`` picks two edges of ``j`` in trivial-channel form: ``nw``
-    (= ``sw``) is the edge cut by the connecting band and ``ne`` (= ``se``)
-    the edge twisted against its mirror partner.  The band joins each half
-    of the cut edge to its own mirror image through the axis, so the knot
-    traverses the reflected copy against the reflected arrows; the twist
-    channel between ``ne`` and its mirror is then anti-parallel and carries
-    ``n`` half twists whose handedness is the sign of ``n``.
+    (= ``sw``) is the band edge and ``ne`` (= ``se``) the twist edge.  The
+    union is the connected sum of ``j`` with its reversed mirror along the
+    band edge, then ``n`` half twists, of the handedness of the sign of
+    ``n``, on the channel between the twist edge and its mirror partner.
+    The reversed mirror is the planar reflection of ``j`` traversed against
+    the reflected arrows, so that channel is anti-parallel.
     """
     if site_spec.interior or site_spec.nw != site_spec.sw or site_spec.ne != site_spec.se:
         raise DiagramStructureError("union site needs band and twist edges, nothing else")
     band_arc, twist_arc = site_spec.nw, site_spec.ne
     if band_arc == twist_arc:
         raise DiagramStructureError("band and twist sites must be distinct edges")
-    if band_arc not in j.appearances() or twist_arc not in j.appearances():
-        raise DiagramStructureError("band and twist edges must belong to the diagram")
+    # the reflection (a, d, c, b) read two slots on, so slot 0 is again the
+    # incoming under strand when the copy is traversed the other way
+    reverse_mirror = PlanarDiagram([(c, b, a, d) for (a, b, c, d) in j.crossings], j.loops)
+    base = connected_sum(j, reverse_mirror, band_arc, band_arc)
+    base.name = j.name and f"U({j.name})"
     off = max(j.arcs, default=0)
-    # Reflected copy, rotated two slots so slot 0 is again the incoming
-    # under-strand when the copy is traversed against the reflected arrows.
-    copy = [(c + off, b + off, a + off, d + off) for (a, b, c, d) in j.crossings]
-    # Reflection then rotation sends a slot of j to this slot of the copy.
-    slot_map = {0: 2, 1: 1, 2: 0, 3: 3}
-    tci, ts = j.arc_tail(band_arc)
-    hci, hs = j.arc_head(band_arc)
-    # Tail half of the band edge joins its mirror tail half (label band_arc),
-    # head half joins mirror head half (label band_arc + off).
-    crossings = _rewrite(j.crossings, {(hci, hs): band_arc + off}) + list(
-        _rewrite(copy, {(tci, slot_map[ts]): band_arc})
-    )
-    base = PlanarDiagram(crossings, 2 * j.loops, j.name and f"U({j.name})")
-    site = TangleSite(twist_arc, twist_arc + off, twist_arc, twist_arc + off)
-    return twist_insert(base, site, n)
+    return twist_insert(base, TangleSite(twist_arc, twist_arc + off, twist_arc, twist_arc + off), n)

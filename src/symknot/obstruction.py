@@ -120,7 +120,12 @@ def _certificate(d: PlanarDiagram, mode: str) -> tuple[str, dict]:
 
 @dataclass(frozen=True, slots=True)
 class ObstructionVerdict:
-    """Outcome of the obstruction with the evidence that produced it."""
+    """Outcome of the obstruction with the evidence that produced it.
+
+    ``evidence`` holds what ``h1`` does not: the mode, the determinant of
+    each channel, whether ``d`` is the composite K_0, and the certificate's
+    basis, with the reason when it is absent.
+    """
 
     l_space_certificate: str
     h1: AbelianGroup
@@ -153,10 +158,11 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
     COMPUTE mode certifies the L-space cover when F2 Khovanov homology is
     thin (COMPUTED_THIN); FORMULA mode accepts only recognized twisted
     templates and certifies them without computing (FORMULA_THIN).
-    Evidence always carries the homology invariant factors and the
-    determinant from two independent channels (the order of H1 from the
-    Goeritz form, and the Alexander polynomial at -1); those must agree,
-    otherwise something upstream is broken and we raise InvariantError.
+    The verdict holds H1, and its evidence the determinant from two
+    independent channels (the order of H1 from the Goeritz form, and the
+    Alexander polynomial at -1); those must agree, otherwise something
+    upstream is broken and we raise InvariantError, so no verdict exists
+    for a diagram whose channels disagree.
     Certificate refusals (budget, non-thin homology) surface as an ABSENT
     certificate and an INCONCLUSIVE verdict with the reason in the
     evidence, not as exceptions.  Each stage is
@@ -172,11 +178,8 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
         )
     evidence = {
         "mode": _mode_tag(mode),
-        "h1_invariant_factors": list(h1.invariant_factors),
-        "h1_free_rank": h1.free_rank,
         "determinant_goeritz": det_g,
         "determinant_alexander": det_a,
-        "determinants_agree": True,
         "composite_suspected": recognize_template(d) == 0,
         **details,
     }

@@ -217,6 +217,11 @@ def test_verify_paper_subsets(capsys):
     assert out.count("PASS alexander") == 1 + 7 and "FAIL" not in out
     for n in (-3, -1, 1, 3):
         assert f"Delta(K_{n})" in out, n
+    # ccc follows the range too: K_7 satisfies the obstruction, K_6 does not
+    assert main(["verify-paper", "--only", "ccc", "--n-range", "6..7"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("PASS ccc") == 2 and "FAIL" not in out
+    assert "PASS ccc: K_6\n" in out and "PASS ccc: K_7\n" in out
 
 
 def test_verify_paper_bad_flags(capsys):
@@ -232,6 +237,12 @@ def test_verify_paper_bad_flags(capsys):
         main(["verify-paper", "--only", "h1", "--n-range", "3..-3"])
     assert err.value.code == EXIT_PARSE
     capsys.readouterr()
+    # a selection that names no criterion checks nothing, so it is refused
+    for only in (",", ""):
+        with pytest.raises(SystemExit) as err:
+            main(["verify-paper", "--only", only])
+        assert err.value.code == EXIT_PARSE, only
+        capsys.readouterr()
 
 
 def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
@@ -240,11 +251,11 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
     argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,skein,euler,mirror", "--n-range", "-3..3"]
     assert main(argv) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
-    # K_-3..K_3 over both fields; ccc adds K_4..K_6 and K_+-7k over F2; skein
-    # adds over Q the oriented resolution of K_2 (its unoriented one is K_1);
-    # the 16 corpus diagrams (5_2 and 10_22 among them) add 13 over Q past
-    # K_0 and K_+-1, and their mirrors 10 past the 6 the corpus holds
-    assert len(calls) == len(set(calls)) == 7 + 7 + 11 + 1 + 13 + 10
+    # K_-3..K_3 over both fields, which ccc reuses over F2; skein adds over
+    # Q the oriented resolution of K_2 (its unoriented one is K_1); the 16
+    # corpus diagrams (5_2 and 10_22 among them) add 13 over Q past K_0 and
+    # K_+-1, and their mirrors 10 past the 6 the corpus holds
+    assert len(calls) == len(set(calls)) == 7 + 7 + 1 + 13 + 10
 
 
 def test_invariants_runs_each_stage_once(capsys, monkeypatch):

@@ -209,8 +209,8 @@ def test_template_sweep_mod_7():
     for n in range(-28, 29):
         v = ccc_verdict(kn_template(n), FORMULA)
         assert (v.verdict == SATISFIES_CCC) == (n % 7 == 0), n
-        want = [7, 7] if n % 7 == 0 else [49]
-        assert v.evidence["h1_invariant_factors"] == want, n
+        want = (7, 7) if n % 7 == 0 else (49,)
+        assert v.h1.invariant_factors == want, n
 
 
 if __name__ == "__main__":
