@@ -804,7 +804,8 @@ def symmetric_union(j: PlanarDiagram, site_spec: TangleSite, n: int) -> Symmetri
     band edge, then ``n`` half twists, of the handedness of the sign of
     ``n``, on the channel between the twist edge and its mirror partner.
     The reversed mirror is the planar reflection of ``j`` traversed against
-    the reflected arrows, so that channel is anti-parallel.
+    the reflected arrows, so that channel is anti-parallel; only a link
+    component that passes under nothing keeps its arrows in the copy.
     """
     if site_spec.interior or site_spec.nw != site_spec.sw or site_spec.ne != site_spec.se:
         raise DiagramStructureError("union site needs band and twist edges, nothing else")
