@@ -1,13 +1,14 @@
 """Exact integer linear algebra and graded bookkeeping.
 
 Everything in this module is exact: Laurent polynomials over Z, integer
-matrices, a sparse fraction-free elimination of chosen pivots, Smith normal
-form with unimodular transforms, and finitely generated abelian groups
-presented by integer matrices.  Determinants and cokernels clear the +-1
-pivots by the sparse elimination first (pivots taken by least Markowitz
-cost, H. Markowitz, Management Sci. 3 (1957)), and only the core left over
-goes to fraction-free Bareiss elimination (E. Bareiss, Math. Comp. 22
-(1968)) or to Smith normal form.  No floating point is used anywhere.
+matrices, a sparse elimination of unit pivots, Smith normal form with
+unimodular transforms, and finitely generated abelian groups presented by
+integer matrices.  A cokernel clears the +-1 pivots by the sparse
+elimination first (pivots taken by least Markowitz cost, H. Markowitz,
+Management Sci. 3 (1957)), and Smith normal form runs on the core left
+over.  A determinant is fraction-free Bareiss elimination (E. Bareiss,
+Math. Comp. 22 (1968)) of the matrix it is asked of; the Alexander
+polynomial asks it of such a core.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "LaurentPolynomial",
@@ -25,7 +26,6 @@ __all__ = [
     "IntegerMatrix",
     "SmithForm",
     "AbelianGroup",
-    "Elimination",
     "eliminate_pivots",
     "smith_normal_form",
     "cokernel",
@@ -311,8 +311,7 @@ class BigradedDims:
 class IntegerMatrix:
     """An exact integer matrix stored as dense rows.
 
-    Construction copies; methods return new objects.  ``determinant`` works
-    on the nonzero entries only until the +-1 pivots are gone.
+    Construction copies; methods return new objects.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -392,118 +391,81 @@ class IntegerMatrix:
         return [sum(row) for row in self._data]
 
     def determinant(self) -> int:
-        """Exact signed determinant.
+        """Exact signed determinant by fraction-free Bareiss elimination.
 
-        ``eliminate_pivots`` clears the +-1 entries it can, sparsely and in
-        Markowitz order, and fraction-free Bareiss elimination takes the
-        determinant of the core that is left.
+        Every division is exact, so each entry stays an integer (a minor of
+        the matrix).  The work is cubic in the size whatever the sparsity; a
+        caller that needs the determinant only up to a unit, as
+        ``polynomials.alexander`` does, shrinks a large sparse matrix with
+        ``eliminate_pivots`` first.
         """
-        if self.rows != self.cols:
+        n = self.rows
+        if n != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        elim = eliminate_pivots(self, _is_unit)
-        # a unit divides every entry, so no row was scaled and scale == 1
-        return elim.sign * elim.pivot_product * _bareiss(elim.core._data) // elim.scale
+        if n == 0:
+            return 1
+        m = self.to_lists()
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                for i in range(k + 1, n):
+                    if m[i][k]:
+                        m[k], m[i] = m[i], m[k]
+                        sign = -sign
+                        break
+                else:
+                    return 0
+            pivot = m[k][k]
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+                m[i][k] = 0
+            prev = pivot
+        return sign * m[n - 1][n - 1]
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self._data!r})"
 
 
-def _is_unit(x: int) -> bool:
-    return x == 1 or x == -1
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square list of rows (not modified)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _product(xs: list[int]) -> int:
-    # pairwise, so that large factors meet large ones: a running product of
-    # many big pivots would cost a long multiplication per pivot
-    while len(xs) > 1:
-        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
-    return xs[0] if xs else 1
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if not seen[start]:
-            seen[start] = True
-            j = perm[start]
-            while j != start:
-                seen[j] = True
-                j = perm[j]
-                sign = -sign
-    return sign
-
-
-class Elimination(NamedTuple):
-    """What ``eliminate_pivots`` leaves.
-
-    ``det(M) * scale == sign * pivot_product * det(core) * 2**shift``.
-    ``core`` keeps the rows and columns that held no pivot, in their
-    original order; ``M.rows - core.rows`` pivots were taken.  When every
-    pivot is +-1, the core presents the cokernel of M on ``M.cols`` less
-    that many generators.
-    """
-
-    core: IntegerMatrix
-    pivot_product: int
-    sign: int
-    scale: int
-    shift: int
-
-
-def eliminate_pivots(
-    matrix: IntegerMatrix, is_pivot: Callable[[int], bool], unit_bits: int = 0
-) -> Elimination:
-    """Sparse fraction-free elimination of the entries ``is_pivot`` accepts.
-
-    Rows are dicts of their nonzero entries, and each column keeps the set
-    of rows it occupies.  Each step takes the accepted entry p of least
-    Markowitz cost (row nnz - 1) * (col nnz - 1), ties going to the least
-    (row, column), and clears every other entry a of its column: the row
-    becomes row - (a / p) * pivot_row when p divides a, and otherwise
-    p * row - a * pivot_row, which multiplies the determinant by p; ``scale``
-    is the product of those p.  The pivot row and column then leave the
-    matrix.  Dividing when it can keeps a row from collecting a factor p at
-    every step: a +-1 pivot never scales, and on the Kronecker Fox minor of
-    K_1000 (pivots +-2^(bk)) the entries stay under 13,000 bits, where
-    scaling every row grew them to a million.  A heap holds candidate
-    pivots with a cost no larger than their current one: an entry is pushed
-    again whenever its row or column may have shrunk, and a popped entry
-    whose cost has grown is pushed back, so no step rescans the matrix.
+def eliminate_pivots(matrix: IntegerMatrix, unit_bits: int = 0) -> IntegerMatrix:
+    """Sparse fraction-free elimination of unit pivots; returns the core left.
 
     ``unit_bits`` = b says that the entries are Laurent polynomials over Z
-    evaluated at t = 2^b, in which 2^b stands for the unit t.  Each updated
-    row is then shifted right by the largest multiple of b that divides all
-    its entries, and ``shift`` totals the bits removed.  A scaled row would
-    otherwise keep the spurious power of t the pivot brought in, and rows
-    scaled by rows scaled before compound it without end.
+    evaluated at t = 2^b, so the pivots are the units +-2^(bk) = +-t^k of
+    Z[t^+-1]; when b = 0 they are +-1 alone.
+
+    Rows are dicts of their nonzero entries, and each column keeps the set
+    of rows it occupies.  Each step takes the unit p of least Markowitz
+    cost (row nnz - 1) * (col nnz - 1), ties going to the least
+    (row, column), and clears every other entry a of its column: the row
+    becomes row - (a / p) * pivot_row when p divides a, and otherwise
+    p * row - a * pivot_row.  The pivot row and column then leave the
+    matrix.  Dividing when it can keeps a row from collecting a factor p at
+    every step: a +-1 pivot never scales, and on the Kronecker Fox minor of
+    K_1000 the entries stay under 13,000 bits, where scaling every row grew
+    them to a million.  When b > 0 each updated row is then shifted right
+    by the largest multiple of b that divides all its entries: a scaled row
+    would otherwise keep the spurious power of t the pivot brought in, and
+    rows scaled by rows scaled before compound it without end.  A heap
+    holds candidate pivots with a cost no larger than their current one: an
+    entry is pushed again whenever its row or column may have shrunk, and a
+    popped entry whose cost has grown is pushed back, so no step rescans
+    the matrix.
+
+    The core keeps the rows and columns that held no pivot, in their
+    original order, and holds no unit.  For a square M its determinant is
+    det(M) times a unit, +-t^K (K of either sign) or +-1 when b = 0.  When
+    b = 0 no row is scaled, and the core presents the cokernel of M on
+    ``M.cols`` less ``M.rows - core.rows`` generators.
     """
+
+    def is_unit(x: int) -> bool:
+        x = abs(x)
+        if not unit_bits:
+            return x == 1
+        return x & (x - 1) == 0 and (x.bit_length() - 1) % unit_bits == 0
+
     # nonzero positions and values, picked out at C speed from the dense rows
     rows: list[dict[int, int] | None] = [
         dict(zip(compress(count(), row), filter(None, row))) for row in matrix._data
@@ -519,26 +481,18 @@ def eliminate_pivots(
             occupied[j].add(i)
     for i, row in enumerate(rows):
         for j, v in row.items():
-            if is_pivot(v):
+            if is_unit(v):
                 push(i, j)
 
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    pivots: list[int] = []
-    scalings: list[int] = []
-    shift = 0
     while heap:
         cost, r, c = heapq.heappop(heap)
         row = rows[r]
         p = row.get(c) if row is not None else None
-        if p is None or not is_pivot(p):
+        if p is None or not is_unit(p):
             continue  # stale: eliminated, cancelled or changed since pushed
         if (len(row) - 1) * (len(occupied[c]) - 1) != cost:
             push(r, c)
             continue
-        pivot_rows.append(r)
-        pivot_cols.append(c)
-        pivots.append(p)
         rows[r] = None
         others = occupied[c]
         occupied[c] = None
@@ -553,7 +507,6 @@ def eliminate_pivots(
             q, rem = divmod(a, p)
             if rem:
                 q = a
-                scalings.append(p)
                 target = {j: p * x for j, x in target.items()}
                 rows[i] = target
             for j, w in row.items():
@@ -574,26 +527,20 @@ def eliminate_pivots(
                 k = (low & -low).bit_length() - 1
                 k -= k % unit_bits
                 if k:
-                    shift += k
                     target = {j: x >> k for j, x in target.items()}
                     rows[i] = target
             for j, v in target.items():
-                if is_pivot(v):
+                if is_unit(v):
                     push(i, j)
         for j in shrunk:
             for i in occupied[j]:
-                if is_pivot(rows[i][j]):
+                if is_unit(rows[i][j]):
                     push(i, j)
 
-    # det is multilinear and alternating: reorder the pivots to the front,
-    # in pivot order, and M is block triangular with their product on top
-    keep_rows = [i for i, row in enumerate(rows) if row is not None]
     keep_cols = [j for j, occ in enumerate(occupied) if occ is not None]
-    sign = _permutation_sign(pivot_rows + keep_rows) * _permutation_sign(pivot_cols + keep_cols)
-    core = IntegerMatrix._shaped(
-        [[rows[i].get(j, 0) for j in keep_cols] for i in keep_rows], len(keep_cols)
+    return IntegerMatrix._shaped(
+        [[row.get(j, 0) for j in keep_cols] for row in rows if row is not None], len(keep_cols)
     )
-    return Elimination(core, _product(pivots), sign, _product(scalings), shift)
 
 
 @dataclass(frozen=True)
@@ -767,7 +714,7 @@ def cokernel(matrix: IntegerMatrix) -> AbelianGroup:
     cokernel, so ``eliminate_pivots`` clears every one it can first and
     Smith normal form runs on the core that is left.
     """
-    core = eliminate_pivots(matrix, _is_unit).core
+    core = eliminate_pivots(matrix)
     snf = smith_normal_form(core)
     torsion = tuple([d for d in snf.diagonal if d > 1])
     # each of the matrix.rows - core.rows pivots took one generator with it

@@ -142,6 +142,14 @@ def _kh_section(result, reduced=None) -> dict:
     return out
 
 
+def _h1_section(h1) -> dict:
+    return {
+        "invariant_factors": list(h1.invariant_factors),
+        "free_rank": h1.free_rank,
+        "group": str(h1),
+    }
+
+
 class _Timer:
     """Seconds per stage, plus the size counters of each Khovanov stage."""
 
@@ -210,11 +218,7 @@ def cmd_invariants(parser, args) -> int:
             det_a = timer.run("determinant_alexander", lambda: determinant_alexander(d))
             report["determinant"] = {"goeritz": det_g, "alexander": det_a}
             report["alexander"] = delta.format("t")
-            report["h1"] = {
-                "invariant_factors": list(h1.invariant_factors),
-                "free_rank": h1.free_rank,
-                "group": str(h1),
-            }
+            report["h1"] = _h1_section(h1)
 
         stage = "jones"
         vhat = timer.run("jones", lambda: jones(d))
@@ -307,11 +311,7 @@ def cmd_h1(parser, args) -> int:
         "schema": SCHEMA,
         "name": d.name,
         "pd": d.serialize(),
-        "h1": {
-            "invariant_factors": list(h1.invariant_factors),
-            "free_rank": h1.free_rank,
-            "group": str(h1),
-        },
+        "h1": _h1_section(h1),
         "determinant": {"goeritz": determinant_goeritz(d)},
         "timings": timer.timings,
     }

@@ -151,6 +151,36 @@ def _walk_strands(
     return inbound, walks
 
 
+def _faces(crossings: Sequence[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
+    """The faces of the rotation system, as cycles of edge-ends (crossing, slot).
+
+    Walking a face: from an edge-end, cross to the edge's other end, then
+    rotate counterclockwise to the next slot.
+    """
+    ends = _edge_ends(crossings)
+    seen = [False] * len(ends)
+    faces = []
+    for start in range(len(ends)):
+        cycle = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            cycle.append(divmod(p, 4))
+            q = ends[p]
+            p = q - q % 4 + (q + 1) % 4
+        if cycle:
+            faces.append(tuple(cycle))
+    return faces
+
+
+def _pieces(crossings: Sequence[Sequence[int]]) -> int:
+    """Number of connected pieces of the 4-valent projection of ``crossings``."""
+    parent = list(range(len(crossings)))
+    for p, q in enumerate(_edge_ends(crossings)):
+        parent[find(parent, p // 4)] = find(parent, q // 4)
+    return len({find(parent, i) for i in range(len(crossings))})
+
+
 _TOKEN = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$|O$")
 
 IN = 1
@@ -285,20 +315,14 @@ class PlanarDiagram:
         """Connectivity of the underlying 4-valent projection."""
         if not self.crossings:
             return self.loops == 1
-        if self.loops:
-            return False
-        parent = list(range(len(self.crossings)))
-        for p, q in enumerate(_edge_ends(self.crossings)):
-            parent[find(parent, p // 4)] = find(parent, q // 4)
-        return len({find(parent, i) for i in range(len(self.crossings))}) == 1
+        return not self.loops and _pieces(self.crossings) == 1
 
     @memoized
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
         """Complementary regions as cycles of edge-ends (crossing, slot).
 
-        Walking a face: from an edge-end, cross to the edge's other end, then
-        rotate counterclockwise to the next slot.  For a connected diagram the
-        face count must satisfy crossings - edges + faces = 2.
+        For a connected diagram the face count must satisfy
+        crossings - edges + faces = 2.
         """
         if not self.crossings:
             if self.loops == 1:
@@ -306,19 +330,7 @@ class PlanarDiagram:
             raise DiagramStructureError("faces need a connected diagram")
         if not self.is_connected():
             raise DiagramStructureError("faces need a connected diagram")
-        ends = _edge_ends(self.crossings)
-        seen = [False] * len(ends)
-        faces = []
-        for start in range(len(ends)):
-            cycle = []
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                cycle.append(divmod(p, 4))
-                q = ends[p]
-                p = q - q % 4 + (q + 1) % 4
-            if cycle:
-                faces.append(tuple(cycle))
+        faces = _faces(self.crossings)
         euler = len(self.crossings) - self.n_arcs + len(faces)
         if euler != 2:
             raise DiagramStructureError(
@@ -361,8 +373,9 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
     """Parse PD-code text: whitespace-separated X[a,b,c,d] and O terms.
 
     ``#`` starts a comment running to end of line.  Raises PdSyntaxError,
-    ArcCountError or OrientationError, each carrying a stable ``code``; text
-    with no term is a PdSyntaxError, as no invariant is defined on it.
+    ArcCountError, OrientationError or DiagramStructureError (a code that
+    is not planar), each carrying a stable ``code``; text with no term is a
+    PdSyntaxError, as no invariant is defined on it.
     """
     crossings = []
     loops = 0
@@ -380,6 +393,14 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
         raise PdSyntaxError("no X[...] or O term")
     d = PlanarDiagram(crossings, loops, name)
     d.orientation()
+    # no piece has Euler characteristic above 2, and a piece reaches 2 exactly
+    # when it is planar; crossing-free loops are planar pieces of their own
+    pieces = _pieces(crossings)
+    euler = len(crossings) - d.n_arcs + len(_faces(crossings))
+    if euler != 2 * pieces:
+        raise DiagramStructureError(
+            f"PD code is not planar: crossings - edges + faces = {euler} on {pieces} pieces"
+        )
     return d
 
 

@@ -16,13 +16,13 @@ coefficient of the determinant.  Every row holds a +1 and a -t^k, units
 of Z[t^+-1]: the sparse elimination of ``algebra.eliminate_pivots``
 clears the entries equal to +-2^(bk) and divides each updated row by its
 common power of t, which changes the determinant only by a unit, and
-``IntegerMatrix`` takes the determinant of the few rows left.  Its signed base-2^b digits are the coefficients.  The knot
-determinant |Delta(-1)| is read off the polynomial, so no second minor
-is built for it.  Two Jones
-conventions are exposed: :func:`jones` gives the unnormalized polynomial
-whose value on the unknot is q + q^-1 (the one that matches graded Euler
-characteristics of the homology layer), and :func:`jones_normalized`
-divides that unknot factor out.
+``IntegerMatrix`` takes the determinant of the few rows left.  Its
+signed base-2^b digits are the coefficients.  The knot determinant
+|Delta(-1)| is read off the polynomial, so no second minor is built for
+it.  Two Jones conventions are exposed: :func:`jones` gives the
+unnormalized polynomial whose value on the unknot is q + q^-1 (the one
+that matches graded Euler characteristics of the homology layer), and
+:func:`jones_normalized` divides that unknot factor out.
 """
 
 from __future__ import annotations
@@ -189,11 +189,6 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     # every row has coefficient 1-norm 4, and every coefficient of the
     # minor's determinant is at most the product of the rows' norms
     b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
-
-    def is_monomial(x: int) -> bool:  # x == +-2^(bk) == +-t^k
-        x = abs(x)
-        return x & (x - 1) == 0 and (x.bit_length() - 1) % b == 0
-
     # Eliminating the units +-t^k of Z[t^+-1] leaves a core whose determinant
     # is the minor's times a unit +-t^K, which the normalization removes: a
     # row update either scales the row by the pivot or divides the entry by
@@ -204,8 +199,7 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     # equal to +-2^(bk) is the monomial +-t^k, 2^(bk) divides an entry
     # exactly when t^k does, and the core's determinant decodes as the
     # minor's would.
-    elim = eliminate_pivots(_alexander_minor(d, 1 << b), is_monomial, b)
-    value = elim.core.determinant()
+    value = eliminate_pivots(_alexander_minor(d, 1 << b), b).determinant()
     if value == 0:
         # every first minor of a knot's Alexander matrix is +-t^k Delta(t), never 0
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")

@@ -2,8 +2,11 @@
 
 ``bareiss_det`` is fraction-free Bareiss elimination over the full matrix,
 with no pivot chosen by sparsity and nothing eliminated first.  It shares
-no code with ``symknot.algebra``, whose determinant clears +-1 pivots by
-sparse elimination and runs Bareiss only on the core that is left.
+no code with ``symknot.algebra``, but ``IntegerMatrix.determinant`` runs
+the same algorithm, so the tests also check that one by cofactor expansion
+and by Smith normal form.  The sparse elimination ``eliminate_pivots`` is
+checked against it: the core's determinant is the whole matrix's up to a
+unit.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -121,7 +122,7 @@ def test_integer_matrix_basics():
     assert IntegerMatrix.zero(0, 3) * IntegerMatrix.zero(3, 4) == IntegerMatrix.zero(0, 4)
     assert IntegerMatrix([[1, 2, 3]]).delete_row_col(0, 0) == IntegerMatrix.zero(0, 2)
     assert IntegerMatrix.zero(2, 0).transpose() == IntegerMatrix.zero(0, 2)
-    core = eliminate_pivots(IntegerMatrix([[1, 2, 3]]), lambda x: abs(x) == 1).core
+    core = eliminate_pivots(IntegerMatrix([[1, 2, 3]]))
     assert core == IntegerMatrix.zero(0, 2)
 
 
@@ -299,6 +300,9 @@ def test_determinant_matches_dense_oracle():
             assert det == known, rows
         if len(rows) <= 6:
             assert det == cofactor_det(rows), rows
+        if len(rows) >= 20:
+            # bareiss_det runs the package's own algorithm; Smith form does not
+            assert abs(det) == math.prod(smith_normal_form(IntegerMatrix(rows)).diagonal), rows
 
 
 def test_cokernel_matches_smith_of_the_whole_matrix():
@@ -315,31 +319,32 @@ def test_cokernel_matches_smith_of_the_whole_matrix():
         assert cokernel(m) == AbelianGroup(torsion, m.cols - snf.rank()), rows
 
 
-@pytest.mark.parametrize(
-    "is_pivot",
-    [lambda x: abs(x) == 1, bool, lambda x: abs(x) == 2, lambda x: x % 3 == 0],
-    ids=["units", "every-entry", "twos", "multiples-of-3"],
-)
-def test_elimination_bookkeeping(is_pivot):
-    # det(M) * scale == sign * pivot_product * det(core) * 2^shift, whichever
-    # entries may pivot and whichever power of 2 stands for the unit t; the
-    # core keeps no entry that could pivot
-    shifted = 0
+def _is_unit(x, unit_bits):
+    """x is +-2^(bk) for b = unit_bits, which is +-1 alone when b = 0."""
+    x = abs(x)
+    k = x.bit_length() - 1
+    return x == 1 << k and (k % unit_bits == 0 if unit_bits else k == 0)
+
+
+def test_elimination_keeps_the_determinant_up_to_a_unit():
+    # det(M) / det(core) is a unit of the ring the entries stand for:
+    # +-2^(bk) with k of either sign, or +-1 when b = 0; the core keeps no unit
+    signed = 0
     for rows, _ in sparse_corpus(31337):
         m = IntegerMatrix(rows)
         for unit_bits in (0, 1, 2):
-            elim = eliminate_pivots(m, is_pivot, unit_bits)
-            core = elim.core.to_lists()
-            taken = m.rows - elim.core.rows
-            assert elim.core.cols == (m.cols - taken if core else 0)
-            assert elim.sign in (1, -1) and elim.scale != 0
-            assert not any(x and is_pivot(x) for row in core for x in row)
-            assert elim.shift % max(unit_bits, 1) == 0 and (elim.shift == 0 or unit_bits)
-            assert bareiss_det(rows) * elim.scale == (
-                elim.sign * elim.pivot_product * bareiss_det(core) << elim.shift
-            )
-            shifted += elim.shift > 0
-    assert shifted > 5
+            core = eliminate_pivots(m, unit_bits)
+            assert core.cols == core.rows == m.cols - (m.rows - core.rows), rows
+            assert not any(x and _is_unit(x, unit_bits) for row in core.to_lists() for x in row)
+            det, det_core = bareiss_det(rows), bareiss_det(core.to_lists())
+            assert (det == 0) == (det_core == 0), (rows, unit_bits)
+            if det:
+                ratio = Fraction(det, det_core)
+                assert 1 in (abs(ratio.numerator), ratio.denominator), (rows, unit_bits)
+                unit = abs(ratio.numerator) * ratio.denominator
+                assert _is_unit(unit, unit_bits), (rows, unit_bits, ratio)
+                signed += ratio != 1
+    assert signed > 5
 
 
 def test_bigraded_dims():

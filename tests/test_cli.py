@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from test_khovanov import count_calls, record_complex_sizes
 
 from symknot import goeritz, khovanov, polynomials
 from symknot.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
-from symknot.diagram import parse_pd
+from symknot.diagram import DiagramStructureError, PdError, parse_pd
 from symknot.fixtures import kn_template
 from symknot.goeritz import determinant_goeritz, h1_branched_cover
 from symknot.khovanov import F2, RATIONAL, kh_homology
@@ -101,6 +102,47 @@ def test_parse_errors_exit_2(capsys):
             main(argv)
         assert err.value.code == EXIT_PARSE, argv
         capsys.readouterr()
+
+
+# two rotation systems of genus 1, and a split code: such a pair plus a loop
+NON_PLANAR = ("X[1,2,1,2]", "X[1,4,1,2] X[4,2,3,3]", "X[2,4,3,1] X[3,1,2,4] O")
+
+
+def test_non_planar_codes_exit_2(capsys):
+    for code in NON_PLANAR:
+        with pytest.raises(DiagramStructureError):
+            parse_pd(code)
+        for command in ("kh", "invariants"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--pd", code])
+            assert err.value.code == EXIT_PARSE, (command, code)
+        capsys.readouterr()
+
+
+def test_random_pd_codes_exit_0_or_2(capsys):
+    # a code is refused at parse time or its homology is computed; the
+    # Khovanov scan never meets a diagram that is not planar
+    rng = random.Random(1805)
+    computed = non_planar = 0
+    for _ in range(400):
+        labels = list(range(1, 2 * rng.randint(1, 5) + 1)) * 2
+        rng.shuffle(labels)
+        code = " ".join("X[{},{},{},{}]".format(*labels[k : k + 4]) for k in range(0, len(labels), 4))
+        code += " O" * (rng.random() < 0.2)
+        try:
+            parse_pd(code)
+        except DiagramStructureError:
+            non_planar += 1
+        except PdError:
+            pass
+        try:
+            status = main(["kh", "--pd", code])
+        except SystemExit as err:
+            status = err.code
+        capsys.readouterr()
+        assert status in (EXIT_OK, EXIT_PARSE), code
+        computed += status == EXIT_OK
+    assert computed > 50 and non_planar > 50, (computed, non_planar)
 
 
 def test_budget_exit_3_with_partial_report(capsys, tmp_path, monkeypatch):
