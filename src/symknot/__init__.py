@@ -27,7 +27,6 @@ from .diagram import (
     fusion_resolution,
     mirror,
     parse_pd,
-    reflect,
     resolve_crossing,
     symmetric_union,
     twist_insert,
@@ -37,10 +36,8 @@ from .khovanov import (
     F2,
     RATIONAL,
     KhResult,
-    ResolutionCube,
     SkeinReport,
     ThinnessReport,
-    build_cube,
     closed_formula_kn,
     is_thin,
     kh_homology,
@@ -82,7 +79,6 @@ __all__ = [
     "fusion_resolution",
     "mirror",
     "parse_pd",
-    "reflect",
     "resolve_crossing",
     "symmetric_union",
     "twist_insert",
@@ -92,10 +88,8 @@ __all__ = [
     "F2",
     "RATIONAL",
     "KhResult",
-    "ResolutionCube",
     "SkeinReport",
     "ThinnessReport",
-    "build_cube",
     "closed_formula_kn",
     "is_thin",
     "kh_homology",

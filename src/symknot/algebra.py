@@ -54,10 +54,6 @@ class LaurentPolynomial:
                     del acc[exp]
         self._coeffs = acc
 
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -338,10 +334,6 @@ class IntegerMatrix:
         out.cols = cols  # a matrix without rows still has its columns
         return out
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self._data[i][j]
@@ -371,24 +363,11 @@ class IntegerMatrix:
                         dst[j] += a * orow[j]
         return IntegerMatrix._shaped(out, other.cols)
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix._shaped(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
-        )
-
     def delete_row_col(self, i: int, j: int) -> "IntegerMatrix":
         return IntegerMatrix._shaped(
             [[v for jj, v in enumerate(row) if jj != j] for ii, row in enumerate(self._data) if ii != i],
             self.cols - 1,
         )
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self._data[i][j] == self._data[j][i] for i in range(self.rows) for j in range(i))
-
-    def row_sums(self) -> list[int]:
-        return [sum(row) for row in self._data]
 
     def determinant(self) -> int:
         """Exact signed determinant by fraction-free Bareiss elimination.
@@ -688,9 +667,6 @@ class AbelianGroup:
         if self.free_rank:
             raise ValueError("infinite group has no order")
         return math.prod(self.invariant_factors)
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and not self.free_rank
 
     def is_square_free_decomposition(self) -> bool:
         """True iff the group is square-free as a product of cyclic groups.

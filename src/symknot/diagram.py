@@ -34,7 +34,6 @@ __all__ = [
     "scan_order",
     "scan_width",
     "mirror",
-    "reflect",
     "connected_sum",
     "resolve_crossing",
     "twist_insert",
@@ -45,31 +44,27 @@ __all__ = [
 
 
 class PdError(ValueError):
-    """Base class for diagram errors; ``code`` is a stable machine-readable tag."""
-
-    code = "PD_ERROR"
+    """Base class for diagram errors; the subclass says what is wrong."""
 
 
 class PdSyntaxError(PdError):
-    code = "SYNTAX"
+    """A term or label that is not PD-code syntax."""
 
 
 class ArcCountError(PdError):
-    code = "ARC_COUNT"
+    """An edge label that does not appear exactly twice."""
 
 
 class OrientationError(PdError):
-    code = "ORIENTATION"
+    """Strands that cannot be oriented from slot 0 of every crossing."""
 
 
 class DiagramStructureError(PdError):
-    code = "STRUCTURE"
+    """A diagram whose structure the operation cannot use, such as a non-planar one."""
 
 
 class BudgetError(RuntimeError):
     """A computation was refused because its size estimate exceeds its budget."""
-
-    code = "BUDGET"
 
     def __init__(self, message: str, *, needed: int | None = None, budget: int | None = None):
         super().__init__(message)
@@ -266,18 +261,13 @@ class PlanarDiagram:
                 )
         return {divmod(p, 4): IN if flag else OUT for p, flag in enumerate(inbound)}
 
-    def over_in_slot(self, ci: int) -> int:
-        """The over-strand's incoming slot (1 or 3) at crossing ``ci``."""
-        return 1 if self.orientation()[(ci, 1)] == IN else 3
-
     @memoized
     def signs(self) -> tuple[int, ...]:
         """Crossing signs: positive when the over-strand enters at slot 3."""
+        status = self.orientation()
         # from a list: tuple(<generator>) resizes its tuple, and without a full
         # collection that leaves CPython's tuple free lists growing call by call
-        return tuple(
-            [1 if self.over_in_slot(ci) == 3 else -1 for ci in range(len(self.crossings))]
-        )
+        return tuple([1 if status[(ci, 1)] == OUT else -1 for ci in range(len(self.crossings))])
 
     @property
     def n_plus(self) -> int:
@@ -297,13 +287,6 @@ class PlanarDiagram:
             if status[pos] == IN:
                 return pos
         raise OrientationError(f"edge {arc} has no head")
-
-    def arc_tail(self, arc: int) -> tuple[int, int]:
-        status = self.orientation()
-        for pos in self.appearances()[arc]:
-            if status[pos] == OUT:
-                return pos
-        raise OrientationError(f"edge {arc} has no tail")
 
     # -- components and faces ----------------------------------------------
 
@@ -374,8 +357,8 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
 
     ``#`` starts a comment running to end of line.  Raises PdSyntaxError,
     ArcCountError, OrientationError or DiagramStructureError (a code that
-    is not planar), each carrying a stable ``code``; text with no term is a
-    PdSyntaxError, as no invariant is defined on it.
+    is not planar); text with no term is a PdSyntaxError, as no invariant is
+    defined on it.
     """
     crossings = []
     loops = 0
@@ -449,17 +432,12 @@ def scan_width(crossings, order) -> int:
 def mirror(d: PlanarDiagram) -> PlanarDiagram:
     """Switch every crossing (same projection, over and under exchanged)."""
     out = []
-    for ci, (a, b, c, dd) in enumerate(d.crossings):
-        if d.over_in_slot(ci) == 3:
+    for (a, b, c, dd), sign in zip(d.crossings, d.signs()):
+        if sign > 0:
             out.append((dd, a, b, c))
         else:
             out.append((b, c, dd, a))
     return PlanarDiagram(out, d.loops, f"mirror({d.name})" if d.name else None)
-
-
-def reflect(d: PlanarDiagram) -> PlanarDiagram:
-    """Planar reflection: cyclic order of each crossing reverses, over/under kept."""
-    return PlanarDiagram([(a, dd, c, b) for (a, b, c, dd) in d.crossings], d.loops)
 
 
 def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram, arc1: int, arc2: int) -> PlanarDiagram:

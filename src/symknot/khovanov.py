@@ -18,9 +18,10 @@ are delooped and identity entries cancelled after each one, so the complex
 stays a few hundred objects wide instead of growing with the 2^c vertices
 of the cube.  Its one budget, ``KH_BUDGET``, bounds that object count: the
 scan refuses a crossing that would build more objects, before building
-them.  The cube of resolutions itself stays as an inspection hook:
-``build_cube`` and ``slice_complex`` give the generators and raw
-differentials of one q-slice.
+them.  The cube of resolutions itself stays in this module, outside the
+package's top-level namespace, as an inspection hook: ``build_cube`` and
+``slice_complex`` give the generators and raw differentials of one
+q-slice.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import combinations
 
 from .algebra import BigradedDims
 from .bar_natan import ScanStats, scan_homology
-from .diagram import BudgetError, InvariantError, PlanarDiagram, memoized, resolve_crossing
+from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, resolve_crossing
 
 __all__ = [
     "RATIONAL",
@@ -61,18 +62,11 @@ CUBE_BUDGET = 20
 # of (s1 s2^-1)^10 at 90,750 (about 150 MB); (s1 s2^-1)^12 is refused
 KH_BUDGET = 100_000
 
-_FIELD_ALIASES = {
-    "q": RATIONAL,
-    "rational": RATIONAL,
-    "f2": F2,
-    "z2": F2,
-    "gf2": F2,
-}
-
 
 def _field_tag(field: str) -> str:
-    tag = _FIELD_ALIASES.get(str(field).strip().lower())
-    if tag is None:
+    """``RATIONAL`` or ``F2``, whichever ``field`` names in either letter case."""
+    tag = str(field).upper()
+    if tag not in (RATIONAL, F2):
         raise ValueError(f"unsupported coefficient field: {field!r}")
     return tag
 
@@ -107,25 +101,18 @@ class ResolutionCube:
         n_edges = self.n_edges
         for v in range(1 << c):
             parent = list(range(n_edges))
-
-            def find(e: int) -> int:
-                while parent[e] != e:
-                    parent[e] = parent[parent[e]]
-                    e = parent[e]
-                return e
-
             for i, (e0, e1, e2, e3) in enumerate(self.slots):
                 if v >> i & 1:
                     pairs = ((e0, e3), (e1, e2))
                 else:
                     pairs = ((e0, e1), (e2, e3))
                 for a, b in pairs:
-                    parent[find(a)] = find(b)
+                    parent[find(parent, a)] = find(parent, b)
             ids: dict[int, int] = {}
             rep: list[int] = []
             cof = []
             for e in range(n_edges):
-                r = find(e)
+                r = find(parent, e)
                 j = ids.get(r)
                 if j is None:
                     j = ids[r] = len(rep)
@@ -297,7 +284,9 @@ class KhResult:
 def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
     """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning.
 
-    The scan runs once per diagram and field, however the field is spelled.
+    ``field`` is "Q" or "F2" in either letter case, and the scan runs once
+    per diagram and field whichever case names it; any other name raises
+    ``ValueError``.
     Raises ``BudgetError`` when the scan would hold more than ``KH_BUDGET``
     objects.
     """
@@ -430,10 +419,6 @@ class SkeinReport:
     oriented: KhResult
     rank_inequality_ok: bool
     euler_additive: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.rank_inequality_ok and self.euler_additive
 
 
 def skein_consistency(

@@ -74,15 +74,15 @@ def recognize_template(d: PlanarDiagram) -> int | None:
 
     Recognition is exact: the diagram must carry its twist-site metadata
     and reproduce the template generator's PD code crossing for crossing.
-    The answer is memoised on ``d``, so the template is built once.
+    The answer is memoised on ``d``, so the template is built once, and only
+    for a knot diagram of the template's 10 + |n| crossings.
     """
     if not isinstance(d, SymmetricUnion) or d.site is None:
         return None
     n = d.n
-    expected = kn_template(n)
-    if list(d.crossings) == list(expected.crossings) and d.loops == expected.loops:
-        return n
-    return None
+    if len(d.crossings) != 10 + abs(n) or d.loops:
+        return None
+    return n if d.crossings == kn_template(n).crossings else None
 
 
 def _certificate(d: PlanarDiagram, mode: str) -> tuple[str, dict]:

@@ -165,8 +165,8 @@ def _alexander_minor(d: PlanarDiagram, t: int) -> IntegerMatrix:
     """
     xs = d.crossings
     parent = {a: a for x in xs for a in x}
-    for ci, x in enumerate(xs):
-        over_in = d.over_in_slot(ci)
+    for x, sign in zip(xs, d.signs()):
+        over_in = 3 if sign > 0 else 1
         parent[find(parent, x[over_in])] = find(parent, x[over_in ^ 2])
     column = {r: j for j, r in enumerate(sorted({find(parent, a) for a in parent}))}
     rows = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from symknot.algebra import IntegerMatrix, LaurentPolynomial
-from symknot.diagram import PlanarDiagram, find
+from symknot.diagram import IN, PlanarDiagram, find
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:
     index = {a: i for i, a in enumerate(labels)}
     parent = list(range(len(labels)))
     for ci, x in enumerate(xs):
-        over_in = d.over_in_slot(ci)
+        # read off the strand walk itself, not the package's sign rule
+        over_in = 1 if d.orientation()[(ci, 1)] == IN else 3
         a, b = index[x[over_in]], index[x[(over_in + 2) % 4]]
         parent[find(parent, a)] = find(parent, b)
     roots = sorted({find(parent, i) for i in range(len(labels))})

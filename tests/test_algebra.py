@@ -107,12 +107,8 @@ def test_laurent_format():
 def test_integer_matrix_basics():
     m = IntegerMatrix([[1, 2], [3, 4]])
     assert m[1, 0] == 3
-    assert m.transpose() == IntegerMatrix([[1, 3], [2, 4]])
-    assert (m * IntegerMatrix.identity(2)) == m
+    assert (m * IntegerMatrix([[1, 0], [0, 1]])) == m
     assert m.delete_row_col(0, 0) == IntegerMatrix([[4]])
-    assert m.row_sums() == [3, 7]
-    assert not m.is_symmetric()
-    assert IntegerMatrix([[1, 2], [2, 5]]).is_symmetric()
     with pytest.raises(ValueError):
         IntegerMatrix([[1, 2], [3]])
     # a matrix without rows keeps its columns, and its shape counts
@@ -121,7 +117,6 @@ def test_integer_matrix_basics():
     # so does every operation that leaves no rows
     assert IntegerMatrix.zero(0, 3) * IntegerMatrix.zero(3, 4) == IntegerMatrix.zero(0, 4)
     assert IntegerMatrix([[1, 2, 3]]).delete_row_col(0, 0) == IntegerMatrix.zero(0, 2)
-    assert IntegerMatrix.zero(2, 0).transpose() == IntegerMatrix.zero(0, 2)
     core = eliminate_pivots(IntegerMatrix([[1, 2, 3]]))
     assert core == IntegerMatrix.zero(0, 2)
 
@@ -222,7 +217,7 @@ def test_abelian_group_validation():
     assert str(g) == "Z/7 + Z/49"
     assert str(AbelianGroup((), 2)) == "Z + Z"
     assert str(AbelianGroup()) == "0"
-    assert AbelianGroup().is_trivial()
+    assert AbelianGroup().order() == 1
     with pytest.raises(ValueError):
         AbelianGroup((), 1).order()
 

@@ -70,6 +70,26 @@ def test_recognize_template():
     assert recognize_template(fake) is None
 
 
+def test_recognize_template_checks_size_before_building(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return kn_template(n)
+
+    monkeypatch.setattr(obstruction, "kn_template", counting)
+    site = kn_template(2).site
+    for fake in (
+        SymmetricUnion(trefoil().crossings, site=site, n=10**6),
+        SymmetricUnion(kn_template(2).crossings, loops=1, site=site, n=2),
+    ):
+        assert recognize_template(fake) is None
+    assert calls == []
+    # a genuine member still builds its template to compare against
+    assert recognize_template(kn_template(2)) == 2
+    assert calls == [2]
+
+
 def test_decide_verdict_is_pure_rule():
     # (group, square-free); a free summand is never square-free
     groups = [
@@ -118,7 +138,7 @@ def test_unknot_vacuously_satisfies():
     v = ccc_verdict(unknot_zero())
     assert v.verdict == SATISFIES_CCC
     assert v.l_space_certificate == COMPUTED_THIN
-    assert v.h1.is_trivial()
+    assert v.h1 == AbelianGroup()
     assert v.evidence["determinant_goeritz"] == 1
 
 

@@ -169,7 +169,7 @@ def test_jones_connected_sum():
 
 def test_jones_distinguishes_family():
     polys = [jones(kn_template(n)) for n in range(-3, 4)]
-    assert len({tuple(sorted(p.coeffs.items())) for p in polys}) == len(polys)
+    assert len(set(polys)) == len(polys)
     for n in (1, 2, 3):
         assert jones(kn_template(-n)) == jones(kn_template(n)).mirror()
     # the zero-twist member is the square of 5_2 under connected sum
