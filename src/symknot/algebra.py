@@ -407,36 +407,36 @@ class IntegerMatrix:
         return f"IntegerMatrix({self._data!r})"
 
 
-def eliminate_pivots(matrix: IntegerMatrix, unit_bits: int = 0) -> IntegerMatrix:
+def eliminate_pivots(rows: list[dict[int, int]], cols: int, unit_bits: int = 0) -> IntegerMatrix:
     """Sparse fraction-free elimination of unit pivots; returns the core left.
 
     ``unit_bits`` = b says that the entries are Laurent polynomials over Z
     evaluated at t = 2^b, so the pivots are the units +-2^(bk) = +-t^k of
     Z[t^+-1]; when b = 0 they are +-1 alone.
 
-    Rows are dicts of their nonzero entries, and each column keeps the set
-    of rows it occupies.  Each step takes the unit p of least Markowitz
-    cost (row nnz - 1) * (col nnz - 1), ties going to the least
-    (row, column), and clears every other entry a of its column: the row
-    becomes row - (a / p) * pivot_row when p divides a, and otherwise
-    p * row - a * pivot_row.  The pivot row and column then leave the
-    matrix.  Dividing when it can keeps a row from collecting a factor p at
-    every step: a +-1 pivot never scales, and on the Kronecker Fox minor of
-    K_1000 the entries stay under 13,000 bits, where scaling every row grew
-    them to a million.  When b > 0 each updated row is then shifted right
-    by the largest multiple of b that divides all its entries: a scaled row
-    would otherwise keep the spurious power of t the pivot brought in, and
-    rows scaled by rows scaled before compound it without end.  A heap
-    holds candidate pivots with a cost no larger than their current one: an
-    entry is pushed again whenever its row or column may have shrunk, and a
-    popped entry whose cost has grown is pushed back, so no step rescans
-    the matrix.
+    M comes sparse: ``rows`` holds one {column: nonzero entry} dict per row
+    over ``cols`` columns, edited in place, and each column keeps the set of
+    rows it occupies.  Each step takes the unit p of least Markowitz cost
+    (row nnz - 1) * (col nnz - 1), ties going to the least (row, column),
+    and clears every other entry a of its column: the row becomes
+    row - (a / p) * pivot_row when p divides a, else p * row - a * pivot_row.
+    The pivot row and column then leave the matrix.  Dividing when it can
+    keeps a row from collecting a factor p at every step: a +-1 pivot never
+    scales, and on the Kronecker Fox minor of K_1000 the entries stay under
+    13,000 bits, where scaling every row grew them to a million.  When b > 0
+    each updated row is then shifted right by the largest multiple of b that
+    divides all its entries: a scaled row would otherwise keep the spurious
+    power of t the pivot brought in, and rows scaled by rows scaled before
+    compound it without end.  A heap holds candidate pivots with a cost no
+    larger than their current one: an entry is pushed again whenever its row
+    or column may have shrunk, and a popped entry whose cost has grown is
+    pushed back, so no step rescans the matrix.
 
     The core keeps the rows and columns that held no pivot, in their
     original order, and holds no unit.  For a square M its determinant is
     det(M) times a unit, +-t^K (K of either sign) or +-1 when b = 0.  When
     b = 0 no row is scaled, and the core presents the cokernel of M on
-    ``M.cols`` less ``M.rows - core.rows`` generators.
+    ``cols`` less ``len(rows) - core.rows`` generators.
     """
 
     def is_unit(x: int) -> bool:
@@ -445,11 +445,7 @@ def eliminate_pivots(matrix: IntegerMatrix, unit_bits: int = 0) -> IntegerMatrix
             return x == 1
         return x & (x - 1) == 0 and (x.bit_length() - 1) % unit_bits == 0
 
-    # nonzero positions and values, picked out at C speed from the dense rows
-    rows: list[dict[int, int] | None] = [
-        dict(zip(compress(count(), row), filter(None, row))) for row in matrix._data
-    ]
-    occupied: list[set[int] | None] = [set() for _ in range(matrix.cols)]
+    occupied: list[set[int] | None] = [set() for _ in range(cols)]
     heap: list[tuple[int, int, int]] = []
 
     def push(i: int, j: int) -> None:
@@ -690,7 +686,8 @@ def cokernel(matrix: IntegerMatrix) -> AbelianGroup:
     cokernel, so ``eliminate_pivots`` clears every one it can first and
     Smith normal form runs on the core that is left.
     """
-    core = eliminate_pivots(matrix)
+    rows = [dict(zip(compress(count(), row), filter(None, row))) for row in matrix._data]
+    core = eliminate_pivots(rows, matrix.cols)
     snf = smith_normal_form(core)
     torsion = tuple([d for d in snf.diagonal if d > 1])
     # each of the matrix.rows - core.rows pivots took one generator with it

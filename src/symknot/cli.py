@@ -79,8 +79,6 @@ FIXTURES = {
 
 TEMPLATES = {"5_2": kn_template}
 
-_FIELD_FLAG = {"q": RATIONAL, "f2": F2}
-
 
 # -- shared plumbing -------------------------------------------------------
 
@@ -193,7 +191,7 @@ def _partial_budget_exit(report, timer, args, stage, err) -> int:
 
 def cmd_invariants(parser, args) -> int:
     d = _resolve_diagram(parser, args)
-    fields = [_FIELD_FLAG[args.field]] if args.field else [RATIONAL, F2]
+    fields = [args.field] if args.field else [RATIONAL, F2]
     timer = _Timer()
     checks: dict[str, bool] = {}
     report = {
@@ -279,7 +277,7 @@ def cmd_symun(parser, args) -> int:
 
 def cmd_kh(parser, args) -> int:
     d = _resolve_diagram(parser, args)
-    field = _FIELD_FLAG[args.field or "q"]
+    field = args.field or RATIONAL
     timer = _Timer()
     report = {
         "schema": SCHEMA,
@@ -611,7 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="full invariant report for one diagram")
     _add_input_flags(p_inv)
     _add_common_flags(p_inv)
-    p_inv.add_argument("--field", choices=sorted(_FIELD_FLAG), help="restrict Khovanov to one field")
+    p_inv.add_argument(
+        "--field", type=str.upper, choices=(RATIONAL, F2), help="restrict Khovanov to one field"
+    )
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_sym = sub.add_parser("symun", help="PD code of the n-twisted template")
@@ -622,7 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kh = sub.add_parser("kh", help="Khovanov homology of one diagram")
     _add_input_flags(p_kh)
     _add_common_flags(p_kh)
-    p_kh.add_argument("--field", choices=sorted(_FIELD_FLAG), help="coefficient field (default q)")
+    p_kh.add_argument(
+        "--field", type=str.upper, choices=(RATIONAL, F2), help="coefficient field (default Q)"
+    )
     p_kh.set_defaults(fn=cmd_kh)
 
     p_h1 = sub.add_parser("h1", help="homology of the branched double cover")

@@ -15,6 +15,7 @@ is never stored by the caller.
 from __future__ import annotations
 
 import functools
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -395,20 +396,29 @@ def scan_order(crossings) -> list[int]:
 
     Ties go to the lowest index.  The crossings glued so far form a tangle
     whose boundary points are the edge labels seen once; keeping it short
-    keeps every scanning engine's state small.
+    keeps every scanning engine's state small.  A heap of the open counts,
+    updated only where a label opens or closes, makes it O(c log c).
     """
-    remaining = list(range(len(crossings)))
+    slots: dict[int, list[int]] = {}  # label -> the crossing of each slot it fills
+    for i, x in enumerate(crossings):
+        for a in x:
+            slots.setdefault(a, []).append(i)
+    shared: list[int | None] = [0] * len(crossings)  # open points; None once placed
+    heap = [(0, i) for i in range(len(crossings))]
     open_: set[int] = set()
     order = []
-    while remaining:
-        best = max(remaining, key=lambda i: (sum(a in open_ for a in crossings[i]), -i))
-        remaining.remove(best)
+    while heap:
+        negative, best = heapq.heappop(heap)
+        if -negative != shared[best]:
+            continue  # placed already, or its count has changed since pushed
+        shared[best] = None
         order.append(best)
         for a in crossings[best]:
-            if a in open_:
-                open_.remove(a)
-            else:
-                open_.add(a)
+            open_ ^= {a}
+            for j in slots[a]:
+                if shared[j] is not None:
+                    shared[j] += 1 if a in open_ else -1
+                    heapq.heappush(heap, (-shared[j], j))
     return order
 
 

@@ -5,29 +5,30 @@ planar scanning: crossings are glued one at a time in ``scan_order``, and
 each partial smoothing is kept only as the pairing it leaves on the open
 boundary, with a histogram of A-exponents and closed loops (L. Kauffman,
 *State models and the Jones polynomial*, Topology 26 (1987); the scan is
-the one of D. Bar-Natan, arXiv:math/0606318).  Jones is the bracket's
-writhe-normalized rewrite in the quantum variable.  The Alexander
-polynomial is the determinant of a first minor of the Alexander matrix,
-whose rows are read straight off the crossings, three entries c0 + c1 t
-each.  Kronecker substitution makes it one integer determinant: the
-minor is evaluated at t = 2^b, with 2^b past twice 4^m for an m x m
-minor, the product of the rows' coefficient 1-norms, which bounds every
-coefficient of the determinant.  Every row holds a +1 and a -t^k, units
-of Z[t^+-1]: the sparse elimination of ``algebra.eliminate_pivots``
-clears the entries equal to +-2^(bk) and divides each updated row by its
-common power of t, which changes the determinant only by a unit, and
-``IntegerMatrix`` takes the determinant of the few rows left.  Its
-signed base-2^b digits are the coefficients.  The knot determinant
-|Delta(-1)| is read off the polynomial, so no second minor is built for
-it.  Two Jones conventions are exposed: :func:`jones` gives the
-unnormalized polynomial whose value on the unknot is q + q^-1 (the one
-that matches graded Euler characteristics of the homology layer), and
-:func:`jones_normalized` divides that unknot factor out.
+the one of D. Bar-Natan, arXiv:math/0606318), and folded by Horner in
+-A^2 - A^-2.  Jones is the bracket's writhe-normalized rewrite in the
+quantum variable.  The Alexander polynomial is the determinant of a
+first minor of the Alexander matrix, whose sparse rows are read straight
+off the crossings, at most three entries c0 + c1 t each.  Kronecker
+substitution makes it one integer determinant: the minor is evaluated at
+t = 2^b, with 2^b past twice 4^m for an m x m minor, the product of the
+rows' coefficient 1-norms, which bounds every coefficient of the
+determinant.  Every row holds a +1 and a -t^k, units of Z[t^+-1]: the
+sparse elimination of ``algebra.eliminate_pivots`` clears the entries
+equal to +-2^(bk) and divides each updated row by its common power of t,
+which changes the determinant only by a unit, and ``IntegerMatrix``
+takes the determinant of the few rows left.  Its signed base-2^b digits
+are the coefficients.  The knot determinant |Delta(-1)| is read off the
+polynomial, so no second minor is built for it.  Two Jones conventions
+are exposed: :func:`jones` gives the unnormalized polynomial whose value
+on the unknot is q + q^-1 (the one that matches graded Euler
+characteristics of the homology layer), and :func:`jones_normalized`
+divides that unknot factor out.
 """
 
 from __future__ import annotations
 
-from .algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots
+from .algebra import LaurentPolynomial, eliminate_pivots
 from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, scan_order, scan_width
 
 __all__ = [
@@ -109,15 +110,17 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
             needed=width,
             budget=BRACKET_BUDGET,
         )
-    delta = LaurentPolynomial({2: -1, -2: -1})
-    powers = [LaurentPolynomial({0: 1})]
-    total = LaurentPolynomial()
-    for (exp, loops), count in sorted(_bracket_counts(d.crossings, order).items()):
-        loops += d.loops
-        while len(powers) <= loops - 1:
-            powers.append(powers[-1] * delta)
-        total = total + powers[loops - 1].shift(exp) * count
-    return total
+    # <D> = sum over loop counts L of P_L(A) delta^(L - 1), delta = -A^2 - A^-2
+    by_loops: dict[int, dict[int, int]] = {}  # L -> P_L as {A-exponent: states}
+    for (exp, loops), count in _bracket_counts(d.crossings, order).items():
+        by_loops.setdefault(loops + d.loops, {})[exp] = count
+    coeffs: dict[int, int] = {}
+    for loops in range(max(by_loops), 0, -1):
+        coeffs, folded = by_loops.get(loops, {}), coeffs
+        for exp, c in folded.items():  # Horner: coeffs += delta * folded
+            coeffs[exp + 2] = coeffs.get(exp + 2, 0) - c
+            coeffs[exp - 2] = coeffs.get(exp - 2, 0) - c
+    return LaurentPolynomial(coeffs)
 
 
 def _writhe_normalized_bracket(d: PlanarDiagram) -> LaurentPolynomial:
@@ -151,7 +154,7 @@ def jones_normalized(d: PlanarDiagram) -> LaurentPolynomial:
     return jones(d).exact_div(LaurentPolynomial({1: 1, -1: 1}))
 
 
-def _alexander_minor(d: PlanarDiagram, t: int) -> IntegerMatrix:
+def _alexander_minor(d: PlanarDiagram, t: int) -> tuple[list[dict[int, int]], int]:
     """First minor of the Alexander matrix at the integer t: crossing 0 and arc 0 deleted.
 
     Arcs are the over-strands, PD edges merged across the two over slots of
@@ -162,21 +165,24 @@ def _alexander_minor(d: PlanarDiagram, t: int) -> IntegerMatrix:
     to lowest exponent 0, so the minor's determinant is +-t^k Delta(t).  The
     union direction and the root numbering fix which minor this is, and the
     monomial-pivot elimination leaves a small core only on some of them.
+    It comes as ``eliminate_pivots`` takes it: {column: nonzero} rows, arc
+    j in column j - 1 (arc 0 dropped), and the column count.
     """
     xs = d.crossings
     parent = {a: a for x in xs for a in x}
     for x, sign in zip(xs, d.signs()):
         over_in = 3 if sign > 0 else 1
         parent[find(parent, x[over_in])] = find(parent, x[over_in ^ 2])
-    column = {r: j for j, r in enumerate(sorted({find(parent, a) for a in parent}))}
+    column = {r: j - 1 for j, r in enumerate(sorted({find(parent, a) for a in parent}))}
     rows = []
     for x, sign in zip(xs[1:], d.signs()[1:]):
-        row = [0] * len(column)
+        row: dict[int, int] = {}
         entries = (1, t - 1, -t) if sign > 0 else (t, 1 - t, -1)
         for label, entry in zip((x[2], x[1], x[0]), entries):
-            row[column[find(parent, label)]] += entry
-        rows.append(row[1:])
-    return IntegerMatrix(rows)
+            j = column[find(parent, label)]
+            row[j] = row.get(j, 0) + entry
+        rows.append({j: v for j, v in row.items() if v and j >= 0})
+    return rows, len(column) - 1
 
 
 @memoized
@@ -199,7 +205,7 @@ def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     # equal to +-2^(bk) is the monomial +-t^k, 2^(bk) divides an entry
     # exactly when t^k does, and the core's determinant decodes as the
     # minor's would.
-    value = eliminate_pivots(_alexander_minor(d, 1 << b), b).determinant()
+    value = eliminate_pivots(*_alexander_minor(d, 1 << b), b).determinant()
     if value == 0:
         # every first minor of a knot's Alexander matrix is +-t^k Delta(t), never 0
         raise InvariantError(f"first Fox minor of {d.name or 'the knot'} vanished")

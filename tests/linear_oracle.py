@@ -6,7 +6,8 @@ no code with ``symknot.algebra``, but ``IntegerMatrix.determinant`` runs
 the same algorithm, so the tests also check that one by cofactor expansion
 and by Smith normal form.  The sparse elimination ``eliminate_pivots`` is
 checked against it: the core's determinant is the whole matrix's up to a
-unit.
+unit.  ``sparse_rows`` writes dense rows in the one form that elimination
+takes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def bareiss_det(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def sparse_rows(rows: list[list[int]]) -> list[dict[int, int]]:
+    """Each row as a {column: nonzero entry} dict."""
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
 
 
 def cofactor_det(rows: list[list[int]]) -> int:

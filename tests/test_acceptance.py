@@ -15,6 +15,7 @@ from pathlib import Path
 
 from alexander_oracle import alexander_laurent
 from goeritz_oracle import goeritz_matrix as oracle_goeritz, other_class
+from linear_oracle import sparse_rows
 
 from symknot.algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots, smith_normal_form
 from symknot.diagram import mirror
@@ -137,16 +138,28 @@ def test_criterion_6_alexander_even_square():
 
 def test_classical_invariants_of_large_members():
     # the members sparse unit-pivot elimination makes cheap (each stage takes
-    # under 0.1 s at |n| = 203), both parities and both H1 shapes
+    # under 0.1 s at |n| = 1001), both parities and both H1 shapes
     even = LaurentPolynomial({2: 4, 1: -12, 0: 17, -1: -12, -2: 4})
     odd = LaurentPolynomial({2: 2, 1: -12, 0: 21, -1: -12, -2: 2})
-    for n in (50, -50, 98, -98, 99, -99, 100, -100, 196, -196, 200, -200, 203, -203):
+    members = (50, -50, 98, -98, 99, -99, 100, -100, 196, -196, 200, -200, 203, -203)
+    for n in members + (1000, -1000, 1001, -1001):
         d = kn_template(n)
         assert h1_branched_cover(d).invariant_factors == ((7, 7) if n % 7 == 0 else (49,)), n
         assert determinant_goeritz(d) == determinant_alexander(d) == 49, n
         assert alexander(d) == (odd if n % 2 else even), n
         if abs(n) == 50:
             assert alexander(d) == alexander_laurent(d), n
+
+
+def test_jones_twist_recurrence():
+    # the Jones skein relation at one ladder crossing, whose oriented
+    # smoothing is the fusion link with the 2-component unlink's V:
+    # V(K_n) - q^4 V(K_{n-2}) = (q + q^-1)(1 - q^4), on small and large n
+    unknot = LaurentPolynomial({1: 1, -1: 1})
+    rhs = unknot * LaurentPolynomial({0: 1, 4: -1})
+    for n in [*range(-6, 10), -100, -99, 100, 101]:
+        lhs = jones(kn_template(n)) - LaurentPolynomial({4: 1}) * jones(kn_template(n - 2))
+        assert lhs == rhs, n
 
 
 def test_unit_pivots_leave_small_cores_on_the_family():
@@ -157,9 +170,10 @@ def test_unit_pivots_leave_small_cores_on_the_family():
         d = kn_template(n)
         b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
         minors = [(_alexander_minor(d, 1 << b), b), (_alexander_minor(d, -1), 0)]
-        minors += [(goeritz_matrix(d), 0), (oracle_goeritz(d, other_class(d)).goeritz, 0)]
-        for m, unit_bits in minors:
-            assert eliminate_pivots(m, unit_bits).rows <= 4, (n, m.rows)
+        for m in (goeritz_matrix(d), oracle_goeritz(d, other_class(d)).goeritz):
+            minors.append(((sparse_rows(m.to_lists()), m.cols), 0))
+        for (rows, cols), unit_bits in minors:
+            assert eliminate_pivots(rows, cols, unit_bits).rows <= 4, (n, cols)
 
 
 def test_criterion_7_k1_is_10_22():

@@ -75,11 +75,23 @@ def test_invariants_link_input(capsys):
 
 
 def test_invariants_field_restriction(capsys):
-    _, q_only, _ = run_json(capsys, ["invariants", "--knot", "trefoil", "--field", "q"])
-    assert list(q_only["khovanov"]) == ["Q"]
-    _, f2_only, _ = run_json(capsys, ["invariants", "--knot", "trefoil", "--field", "f2"])
-    assert list(f2_only["khovanov"]) == ["F2"]
-    assert "reduced_table" in f2_only["khovanov"]["F2"]
+    # --field takes either letter case, and each spelling gives the same
+    # report; its one field section is the one of the two-field golden report
+    golden = json.loads((GOLDEN / "invariants_trefoil.json").read_text())
+    for field, spellings in (("Q", ("q", "Q")), ("F2", ("f2", "F2"))):
+        for command in ("invariants", "kh"):
+            reports = []
+            for spelling in spellings:
+                code, report, _ = run_json(capsys, [command, "--knot", "trefoil", "--field", spelling])
+                assert code == EXIT_OK
+                report.pop("timings")
+                report.pop("stats")
+                reports.append(report)
+                if command == "invariants":
+                    assert report["khovanov"] == {field: golden["khovanov"][field]}
+            assert reports[0] == reports[1], (command, field)
+        assert reports[0]["field"] == field
+    assert "reduced_table" in golden["khovanov"]["F2"]
 
 
 def test_parse_errors_exit_2(capsys):
@@ -95,6 +107,8 @@ def test_parse_errors_exit_2(capsys):
         ["invariants", "--symun", "5_2"],
         ["invariants", "--knot", "trefoil", "--n", "3"],
         ["kh", "--knot", "trefoil", "--field", "gf3"],
+        ["kh", "--knot", "trefoil", "--field", "z2"],
+        ["invariants", "--knot", "trefoil", "--field", "z2"],
         # the Hopf link has no branched double cover homology here
         ["h1", "--pd", "X[1,3,2,4] X[3,1,4,2]"],
     ):

@@ -3,8 +3,10 @@ from collections import Counter
 
 import pytest
 from layout_oracle import LAYOUTS, trial_layout
-from test_fixtures import _rational_corpus
+from scan_oracle import rescan_order
+from test_fixtures import _random_pd_codes, _rational_corpus
 from test_khovanov import EULER_CORPUS, random_braid_corpus
+from test_properties import _kinked
 
 from symknot.diagram import (
     IN,
@@ -23,6 +25,7 @@ from symknot.diagram import (
     mirror,
     parse_pd,
     resolve_crossing,
+    scan_order,
     symmetric_union,
     twist_insert,
 )
@@ -308,3 +311,18 @@ def test_equality_ignores_names():
     b = parse_pd(TREFOIL_PD, name="b")
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_scan_order_equals_rescan_oracle():
+    # the heap keeps the rescan's rule, ties included, on codes of any shape:
+    # random crossing lists (most neither planar nor orientable), the family
+    # far past where a rescan per step is cheap, and kinks, whose crossing
+    # holds one label twice
+    codes = _random_pd_codes()
+    codes += [kn_template(n).crossings for n in range(-30, 31)]
+    codes += [kn_template(n).crossings for n in (100, -100, 400, -400)]
+    kinks = [unknot_kink(1), unknot_kink(-1)]
+    kinks += [_kinked(d, e, sign) for d in EULER_CORPUS if d.crossings for e in d.arcs for sign in (1, -1)]
+    codes += [d.crossings for d in kinks]
+    for code in codes:
+        assert scan_order(code) == rescan_order(code), code

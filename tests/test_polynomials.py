@@ -3,10 +3,11 @@ import random
 import pytest
 from alexander_oracle import alexander_laurent, fox_minor, wirtinger
 from bracket_oracle import bracket_state_sum
+from linear_oracle import sparse_rows
 from test_khovanov import EULER_CORPUS, random_braid_corpus
 
 from symknot import polynomials
-from symknot.algebra import AbelianGroup, IntegerMatrix, LaurentPolynomial, cokernel
+from symknot.algebra import AbelianGroup, LaurentPolynomial, cokernel
 from symknot.diagram import (
     BudgetError,
     InvariantError,
@@ -270,7 +271,21 @@ def test_alexander_minor_equals_fox_minor_of_wirtinger():
     for d in knots:
         b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
         for t in (-1, 2, 1 << b):
-            assert polynomials._alexander_minor(d, t) == fox_minor(wirtinger(d), t), d.serialize()
+            fox = fox_minor(wirtinger(d), t)
+            want = (sparse_rows(fox.to_lists()), fox.cols)
+            assert polynomials._alexander_minor(d, t) == want, d.serialize()
+
+
+def test_alexander_minor_rows_stay_sparse():
+    # one row per crossing after the first, holding at most its three arcs,
+    # so the minor of K_1000 is a few thousand entries, not a million
+    d = kn_template(1000)
+    b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
+    for t in (-1, 2, 1 << b):
+        rows, cols = polynomials._alexander_minor(d, t)
+        assert len(rows) == cols == len(d.crossings) - 1
+        assert all(len(row) <= 3 and all(row.values()) for row in rows), t
+        assert all(0 <= j < cols for row in rows for j in row), t
 
 
 def test_alexander_of_twist_knots():
@@ -287,8 +302,8 @@ def _corrupt_first_row(monkeypatch, corrupt):
     minor = polynomials._alexander_minor
 
     def corrupted(d, t):
-        first, *rest = minor(d, t).to_lists()
-        return IntegerMatrix([corrupt(first, t), *rest])
+        (first, *rest), cols = minor(d, t)
+        return [corrupt(first, t), *rest], cols
 
     monkeypatch.setattr(polynomials, "_alexander_minor", corrupted)
 
@@ -296,7 +311,7 @@ def _corrupt_first_row(monkeypatch, corrupt):
 def test_vanishing_fox_minor_raises(monkeypatch):
     # a knot's first Fox minor is +-t^k Delta(t), never 0: only a corrupted
     # Fox matrix, here with a zero row, can make it vanish
-    _corrupt_first_row(monkeypatch, lambda row, t: [0] * len(row))
+    _corrupt_first_row(monkeypatch, lambda row, t: {})
     with pytest.raises(InvariantError, match="Fox minor of 5_2"):
         alexander(knot_5_2())
     with pytest.raises(InvariantError, match="Fox minor of 5_2"):
@@ -308,18 +323,18 @@ def test_corrupted_fox_minor_raises(monkeypatch):
     # normalization refuses, never to a wrong Alexander polynomial; each
     # corruption gets a fresh diagram, as a diagram keeps its results
     d = knot_10_22()
-    _corrupt_first_row(monkeypatch, lambda row, t: [3 * x for x in row])
+    _corrupt_first_row(monkeypatch, lambda row, t: {j: 3 * x for j, x in row.items()})
     with pytest.raises(InvariantError, match=r"\|D\(1\)\| = 3"):
         alexander(d)
     with pytest.raises(InvariantError, match=r"\|D\(1\)\| = 3"):
         determinant_alexander(d)
     d = knot_10_22()
-    _corrupt_first_row(monkeypatch, lambda row, t: [2, *row[1:]])
+    _corrupt_first_row(monkeypatch, lambda row, t: {**row, 0: 2})
     with pytest.raises(InvariantError, match="Alexander determinant"):
         alexander(d)
     # a row shifted by a power of t is the same minor up to +-t^k
     d = knot_10_22()
-    _corrupt_first_row(monkeypatch, lambda row, t: [x * t**5 for x in row])
+    _corrupt_first_row(monkeypatch, lambda row, t: {j: x * t**5 for j, x in row.items()})
     assert alexander(d) == L({2: 2, 1: -12, 0: 21, -1: -12, -2: 2})
     assert determinant_alexander(d) == 49
 

@@ -97,7 +97,7 @@ def test_alexander_ignores_labels_on_large_members():
         b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
         for s in range(1, seeds + 1):
             twin = _relabelled(d, random.Random(s))
-            core = eliminate_pivots(_alexander_minor(twin, 1 << b), b)
+            core = eliminate_pivots(*_alexander_minor(twin, 1 << b), b)
             bits = max((abs(x).bit_length() for row in core.to_lists() for x in row), default=0)
             assert core.rows <= 6 and bits <= 8 * b, (n, s, core.rows, bits)
             assert alexander(twin) == want, (n, s)
