@@ -1,14 +1,15 @@
 """Exact integer linear algebra and graded bookkeeping.
 
 Everything in this module is exact: Laurent polynomials over Z, integer
-matrices, a sparse elimination of unit pivots, Smith normal form with
-unimodular transforms, and finitely generated abelian groups presented by
-integer matrices.  A cokernel clears the +-1 pivots by the sparse
-elimination first (pivots taken by least Markowitz cost, H. Markowitz,
-Management Sci. 3 (1957)), and Smith normal form runs on the core left
-over.  A determinant is fraction-free Bareiss elimination (E. Bareiss,
-Math. Comp. 22 (1968)) of the matrix it is asked of; the Alexander
-polynomial asks it of such a core.  No floating point is used anywhere.
+matrices, a sparse elimination of unit pivots, the diagonal of the Smith
+normal form, and finitely generated abelian groups presented by integer
+matrices.  A cokernel takes its relations as sparse rows, clears the +-1
+pivots by the sparse elimination first (pivots taken by least Markowitz
+cost, H. Markowitz, Management Sci. 3 (1957)), and takes the Smith form of
+the core left over.  A determinant is fraction-free Bareiss elimination
+(E. Bareiss, Math. Comp. 22 (1968)) of the matrix it is asked of; the
+Alexander polynomial asks it of such a core.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "LaurentPolynomial",
     "BigradedDims",
     "IntegerMatrix",
-    "SmithForm",
     "AbelianGroup",
     "eliminate_pivots",
     "smith_normal_form",
@@ -307,7 +306,9 @@ class BigradedDims:
 class IntegerMatrix:
     """An exact integer matrix stored as dense rows.
 
-    Construction copies; methods return new objects.
+    It holds the small cores that ``determinant`` and ``smith_normal_form``
+    take; large sparse matrices stay {column: entry} rows.  Construction
+    copies.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -323,10 +324,6 @@ class IntegerMatrix:
         self.rows = len(rows)
         self.cols = width
         self._data = rows
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls._shaped([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def _shaped(cls, data: list[list[int]], cols: int) -> "IntegerMatrix":
@@ -348,26 +345,6 @@ class IntegerMatrix:
 
     def __hash__(self) -> int:
         return hash(tuple(tuple(r) for r in self._data))
-
-    def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self._data[i]
-            for k, a in enumerate(row):
-                if a:
-                    orow = other._data[k]
-                    dst = out[i]
-                    for j in range(other.cols):
-                        dst[j] += a * orow[j]
-        return IntegerMatrix._shaped(out, other.cols)
-
-    def delete_row_col(self, i: int, j: int) -> "IntegerMatrix":
-        return IntegerMatrix._shaped(
-            [[v for jj, v in enumerate(row) if jj != j] for ii, row in enumerate(self._data) if ii != i],
-            self.cols - 1,
-        )
 
     def determinant(self) -> int:
         """Exact signed determinant by fraction-free Bareiss elimination.
@@ -518,62 +495,23 @@ def eliminate_pivots(rows: list[dict[int, int]], cols: int, unit_bits: int = 0) 
     )
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...) >= 0."""
+def smith_normal_form(matrix: IntegerMatrix) -> tuple[int, ...]:
+    """Diagonal d_1 | d_2 | ... >= 0 of the Smith normal form, min(rows, cols) long.
 
-    diagonal: tuple[int, ...]
-    u: IntegerMatrix
-    v: IntegerMatrix
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
-
-def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
-    """Smith normal form by elementary integer row/column operations.
-
-    Pivoting selects a minimal-absolute-value nonzero entry, which keeps
-    intermediate entries small at this scale.  A pivot is fixed only once it
-    divides every entry of the trailing block, and every later operation
-    stays inside that block, so the diagonal comes out as a divisibility
-    chain in one pass.  The transforms U (rows) and V (columns) are
-    accumulated alongside and are unimodular by construction.
+    It is reached by elementary integer row and column operations.  Pivoting
+    selects a minimal-absolute-value nonzero entry, which keeps intermediate
+    entries small at this scale.  A pivot is fixed only once it divides
+    every entry of the trailing block, and every later operation stays
+    inside that block, so the diagonal comes out as a divisibility chain in
+    one pass.  Only the diagonal is kept: the transforms are not tracked.
     """
     m = matrix.to_lists()
     nrows, ncols = matrix.rows, matrix.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(a: int, b: int) -> None:
-        m[a], m[b] = m[b], m[a]
-        u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a: int, b: int) -> None:
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
 
     def add_row(src: int, dst: int, factor: int) -> None:
-        if factor:
-            mr, ms = m[dst], m[src]
-            for j in range(ncols):
-                mr[j] += factor * ms[j]
-            ur, us = u[dst], u[src]
-            for j in range(nrows):
-                ur[j] += factor * us[j]
-
-    def add_col(src: int, dst: int, factor: int) -> None:
-        if factor:
-            for row in m:
-                row[dst] += factor * row[src]
-            for row in v:
-                row[dst] += factor * row[src]
-
-    def negate_row(i: int) -> None:
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
+        mr, ms = m[dst], m[src]
+        for j in range(ncols):
+            mr[j] += factor * ms[j]
 
     k = 0
     limit = min(nrows, ncols)
@@ -594,8 +532,9 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
         if best is None:
             break
         _, pi, pj = best
-        swap_rows(k, pi)
-        swap_cols(k, pj)
+        m[k], m[pi] = m[pi], m[k]
+        for row in m:
+            row[k], row[pj] = row[pj], row[k]
         pivot = m[k][k]
         dirty = False
         for i in range(k + 1, nrows):
@@ -607,7 +546,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
         for j in range(k + 1, ncols):
             q = m[k][j] // pivot
             if q:
-                add_col(k, j, -q)
+                for row in m:
+                    row[j] -= q * row[k]
             if m[k][j]:
                 dirty = True
         if dirty:
@@ -626,15 +566,13 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
         if off is not None:
             add_row(off, k, 1)
             continue
-        if m[k][k] < 0:
-            negate_row(k)
         # d_k divides the trailing block and all later work stays in it, so d_k | d_{k+1}
         k += 1
 
-    # from a list: tuple(<generator>) resizes its tuple, and without a full
+    # each pivot is alone in its row, so negating the row is abs(); from a
+    # list, because tuple(<generator>) resizes its tuple, and without a full
     # collection that leaves CPython's tuple free lists growing call by call
-    diag = tuple([m[i][i] for i in range(limit)])
-    return SmithForm(diag, IntegerMatrix(u), IntegerMatrix(v))
+    return tuple([abs(m[i][i]) for i in range(limit)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -679,20 +617,19 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(matrix: IntegerMatrix) -> AbelianGroup:
-    """Cokernel of the presentation: columns index generators, rows give relations.
+def cokernel(rows: list[dict[int, int]], cols: int) -> AbelianGroup:
+    """Cokernel of the presentation: ``cols`` columns index generators, rows give relations.
 
-    A +-1 pivot kills its generator and its relation without changing the
-    cokernel, so ``eliminate_pivots`` clears every one it can first and
-    Smith normal form runs on the core that is left.
+    The rows come sparse, one {column: nonzero entry} dict each, as
+    ``eliminate_pivots`` takes them, and it consumes them.  A +-1 pivot kills
+    its generator and its relation without changing the cokernel, so that
+    elimination clears every one it can first and Smith normal form runs on
+    the core that is left, whose columns are the generators left.
     """
-    rows = [dict(zip(compress(count(), row), filter(None, row))) for row in matrix._data]
-    core = eliminate_pivots(rows, matrix.cols)
-    snf = smith_normal_form(core)
-    torsion = tuple([d for d in snf.diagonal if d > 1])
-    # each of the matrix.rows - core.rows pivots took one generator with it
-    free = matrix.cols - (matrix.rows - core.rows) - snf.rank()
-    return AbelianGroup(torsion, free)
+    core = eliminate_pivots(rows, cols)
+    diagonal = smith_normal_form(core)
+    torsion = tuple([d for d in diagonal if d > 1])
+    return AbelianGroup(torsion, core.cols - sum(1 for d in diagonal if d))
 
 
 def is_square_free(n: int) -> bool:

@@ -25,11 +25,10 @@ size counters of each Khovanov scan, keyed like its timing.
 import argparse
 import dataclasses
 import json
-import random
 import sys
 import time
 
-from .algebra import IntegerMatrix, LaurentPolynomial, smith_normal_form
+from .algebra import LaurentPolynomial
 from .diagram import BudgetError, PdError, PlanarDiagram, mirror, parse_pd
 from .fixtures import (
     figure_eight,
@@ -58,7 +57,6 @@ from .obstruction import COMPUTE, COMPUTED_THIN, INCONCLUSIVE, SATISFIES_CCC, cc
 from .polynomials import alexander, determinant_alexander, jones, jones_normalized
 
 SCHEMA = "symknot-report/3"
-DEFAULT_SEED = 8253
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -469,38 +467,6 @@ def _check_skein(ctx):
     )
 
 
-def _snf_ok(m: IntegerMatrix) -> bool:
-    snf = smith_normal_form(m)
-    d = snf.diagonal
-    for a, b in zip(d, d[1:]):
-        if (a == 0 and b != 0) or (a != 0 and b % a != 0):
-            return False
-    if any(x < 0 for x in d):
-        return False
-    if snf.u.determinant() not in (1, -1) or snf.v.determinant() not in (1, -1):
-        return False
-    prod = snf.u * m * snf.v
-    return all(
-        prod[i, j] == (d[i] if i == j and i < len(d) else 0)
-        for i in range(prod.rows)
-        for j in range(prod.cols)
-    )
-
-
-def _check_snf(ctx):
-    rng = random.Random(ctx["seed"])
-    bad = 0
-    for _ in range(200):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = IntegerMatrix(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
-        if not _snf_ok(m):
-            bad += 1
-    yield _row("snf", f"200 random matrices, seed {ctx['seed']}", bad == 0, "0 failures", f"{bad} failures")
-
-
 def _check_euler(ctx):
     for d in _property_corpus():
         held = _d(ctx, d)
@@ -538,7 +504,6 @@ CRITERIA = {
     "identify": _check_identify,
     "ccc": _check_ccc,
     "skein": _check_skein,
-    "snf": _check_snf,
     "euler": _check_euler,
     "mirror": _check_mirror,
     "detagree": _check_detagree,
@@ -569,11 +534,7 @@ def cmd_verify_paper(parser, args) -> int:
         unknown = [s for s in names if s not in CRITERIA]
         if unknown:
             parser.error(f"unknown criteria {unknown}; pick from {sorted(CRITERIA)}")
-    ctx = {
-        "n_range": _parse_n_range(args.n_range, parser),
-        "seed": args.seed,
-        "diagrams": {},
-    }
+    ctx = {"n_range": _parse_n_range(args.n_range, parser), "diagrams": {}}
     rows = []
     for name in names:
         t0 = time.perf_counter()
@@ -636,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_ver)
     p_ver.add_argument("--only", help="comma-separated criteria subset, e.g. h1,det")
     p_ver.add_argument("--n-range", help="twist range A..B for family sweeps")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized checks")
     p_ver.set_defaults(fn=cmd_verify_paper)
 
     return parser

@@ -295,6 +295,7 @@ class PlanarDiagram:
         """Number of link components, counting crossing-free loops."""
         return self._walk()[1] + self.loops
 
+    @memoized
     def is_connected(self) -> bool:
         """Connectivity of the underlying 4-valent projection."""
         if not self.crossings:

@@ -6,18 +6,20 @@ class presents H1 of the double cover of S^3 branched over the knot, so
 one matrix is built, over the smaller class.  The knot determinant
 |det G| is the order of that group (W. B. R. Lickorish, *An Introduction
 to Knot Theory*, GTM 175, ch. 9), so it is read off H1 rather than
-computed again; the Alexander channel is its cross-check.
+computed again; the Alexander channel is its cross-check.  The matrix is
+written as sparse {column: entry} rows, the one form ``algebra.cokernel``
+takes, as the Alexander minor is.
 """
 
 from __future__ import annotations
 
-from .algebra import AbelianGroup, IntegerMatrix, cokernel
+from .algebra import AbelianGroup, cokernel
 from .diagram import DiagramStructureError, InvariantError, PlanarDiagram, _edge_ends, memoized
 
 __all__ = ["goeritz_matrix", "determinant_goeritz", "h1_branched_cover"]
 
 
-def goeritz_matrix(d: PlanarDiagram) -> IntegerMatrix:
+def goeritz_matrix(d: PlanarDiagram) -> tuple[list[dict[int, int]], int]:
     """Reduced Goeritz matrix over the white regions of a connected diagram.
 
     The faces are 2-colored by parity across edges.  White is the smaller
@@ -27,11 +29,13 @@ def goeritz_matrix(d: PlanarDiagram) -> IntegerMatrix:
     (corners 1 and 3 in slot order); the convention is pinned, up to the
     global sign that |det| ignores, by the determinant cross-check against
     the Alexander channel.  Each diagonal entry is minus the rest of its
-    row, and the first white region's row and column are deleted.
+    row, and the first white region's row and column are deleted.  It
+    comes as ``cokernel`` takes it: {column: nonzero} rows, white region i
+    in row and column i - 1, and the column count.
     """
     faces = d.faces()  # raises DiagramStructureError on a disconnected diagram
     if not d.crossings:
-        return IntegerMatrix.zero(0, 0)  # one white face, whose row is deleted
+        return [], 0  # one white face, whose row is deleted
     # face[p]: the face walked through edge-end p, which holds the corner
     # between slots p - 1 and p of its crossing
     face = [0] * (4 * len(d.crossings))
@@ -55,18 +59,20 @@ def goeritz_matrix(d: PlanarDiagram) -> IntegerMatrix:
     white = 0 if 2 * color.count(0) < len(faces) else 1
     whites = [f for f, c in enumerate(color) if c == white]
     region = {f: i for i, f in enumerate(whites)}
-    g = [[0] * len(region) for _ in region]
+    g: list[dict[int, int]] = [{} for _ in whites]
     for p in range(0, len(face), 4):
         if color[face[p + 2]] == white:
             eta, i, j = 1, region[face[p + 2]], region[face[p]]
         else:
             eta, i, j = -1, region[face[p + 1]], region[face[p + 3]]
         if i != j:
-            g[i][j] -= eta
-            g[j][i] -= eta
-    for i, row in enumerate(g):
-        row[i] = -sum(row)  # the diagonal is still 0 here
-    return IntegerMatrix(g).delete_row_col(0, 0)
+            g[i][j] = g[i].get(j, 0) - eta
+            g[j][i] = g[j].get(i, 0) - eta
+    rows = []
+    for i, row in enumerate(g[1:], 1):
+        row[i] = -sum(row.values())  # no diagonal entry is in the row yet
+        rows.append({j - 1: x for j, x in row.items() if x and j})
+    return rows, len(whites) - 1
 
 
 @memoized
@@ -74,7 +80,7 @@ def h1_branched_cover(d: PlanarDiagram) -> AbelianGroup:
     """H1 of the double cover branched over the knot: the Goeritz matrix's cokernel."""
     if d.n_components() != 1:
         raise ValueError("branched double cover homology needs a one-component diagram")
-    return cokernel(goeritz_matrix(d))
+    return cokernel(*goeritz_matrix(d))
 
 
 @memoized

@@ -3,17 +3,19 @@
 The bracket is an exact state sum over all smoothings, contracted by
 planar scanning: crossings are glued one at a time in ``scan_order``, and
 each partial smoothing is kept only as the pairing it leaves on the open
-boundary, with a histogram of A-exponents and closed loops (L. Kauffman,
-*State models and the Jones polynomial*, Topology 26 (1987); the scan is
-the one of D. Bar-Natan, arXiv:math/0606318), and folded by Horner in
--A^2 - A^-2.  Jones is the bracket's writhe-normalized rewrite in the
-quantum variable.  The Alexander polynomial is the determinant of a
-first minor of the Alexander matrix, whose sparse rows are read straight
-off the crossings, at most three entries c0 + c1 t each.  Kronecker
-substitution makes it one integer determinant: the minor is evaluated at
-t = 2^b, with 2^b past twice 4^m for an m x m minor, the product of the
-rows' coefficient 1-norms, which bounds every coefficient of the
-determinant.  Every row holds a +1 and a -t^k, units of Z[t^+-1]: the
+boundary, each pairing with one {A-exponent: coefficient} dict.  A loop
+multiplies its smoothing's part by -A^2 - A^-2 as soon as it closes
+(L. Kauffman, *State models and the Jones polynomial*, Topology 26
+(1987); the scan is the one of D. Bar-Natan, arXiv:math/0606318), so on
+K_n the work is linear in n.  Jones is the bracket's writhe-normalized
+rewrite in the quantum variable.  The Alexander polynomial is the
+determinant of a first minor of the Alexander matrix, whose sparse rows
+are read straight off the crossings, at most three entries c0 + c1 t
+each, in the {column: entry} form the Goeritz matrix is written in too.
+Kronecker substitution makes it one integer determinant: the minor is
+evaluated at t = 2^b, with 2^b past twice 4^m for an m x m minor, the
+product of the rows' coefficient 1-norms, which bounds every coefficient
+of the determinant.  Every row holds a +1 and a -t^k, units of Z[t^+-1]: the
 sparse elimination of ``algebra.eliminate_pivots`` clears the entries
 equal to +-2^(bk) and divides each updated row by its common power of t,
 which changes the determinant only by a unit, and ``IntegerMatrix``
@@ -47,6 +49,11 @@ BRACKET_BUDGET = 14
 # slot pairs joined by the 0-smoothing (factor A) and the 1-smoothing (A^-1)
 _SMOOTHINGS = ((1, ((0, 1), (2, 3))), (-1, ((0, 3), (1, 2))))
 
+# the loop value delta = -A^2 - A^-2, and its powers for the 0, 1 or 2 loops
+# that one smoothing can close, as (A-exponent, coefficient) pairs
+_DELTA = LaurentPolynomial({2: -1, -2: -1})
+_DELTA_POWERS = tuple(tuple(_DELTA**k) for k in range(3))
+
 
 def _join(partner: dict[int, int], u: int, v: int) -> int:
     """Glue an arc from edge label u to edge label v; 1 if it closes a loop.
@@ -65,26 +72,36 @@ def _join(partner: dict[int, int], u: int, v: int) -> int:
     return 0
 
 
-def _bracket_counts(crossings, order: list[int]) -> dict[tuple[int, int], int]:
-    """Histogram of (A-exponent, closed loops) over all smoothings, by planar scanning.
+def _bracket_scan(crossings, order: list[int]) -> dict[int, int]:
+    """Sum over all smoothings of A^(a - b) delta^loops, by planar scanning.
 
+    a and b count the 0- and 1-smoothings, and ``loops`` the loops closed.
     Crossings are glued one at a time in ``order``.  The state maps each
     pairing of the open boundary, as sorted (label, partner) items, to the
-    histogram of the partial smoothings that leave it; both smoothings of
-    the next crossing are glued into every state.
+    {A-exponent: coefficient} sum of the partial smoothings that leave it;
+    both smoothings of the next crossing are glued into every state, and a
+    smoothing that closes loops multiplies its part by delta at once
+    (Kauffman's rule), so no state keeps a loop count.  A coefficient that
+    cancelled to 0 is dropped when its state is glued next.
     """
-    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
     for i in order:
         x = crossings[i]
-        glued: dict[tuple, dict[tuple[int, int], int]] = {}
-        for pairing, hist in states.items():
+        glued: dict[tuple, dict[int, int]] = {}
+        for pairing, poly in states.items():
             for step, arcs in _SMOOTHINGS:
                 partner = dict(pairing)
                 closed = sum(_join(partner, x[s], x[t]) for s, t in arcs)
-                out = glued.setdefault(tuple(sorted(partner.items())), {})
-                for (exp, loops), count in hist.items():
-                    key = (exp + step, loops + closed)
-                    out[key] = out.get(key, 0) + count
+                key = tuple(sorted(partner.items()))
+                out = glued.get(key)
+                if out is None:
+                    out = glued[key] = {}
+                factor = _DELTA_POWERS[closed]
+                for exp, coeff in poly.items():
+                    if coeff:
+                        exp += step
+                        for e, c in factor:
+                            out[exp + e] = out.get(exp + e, 0) + coeff * c
         states = glued
     if list(states) != [()]:
         open_ = sorted({a for pairing in states for a, _ in pairing})
@@ -95,9 +112,11 @@ def _bracket_counts(crossings, order: list[int]) -> dict[tuple[int, int], int]:
 def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     """Bracket polynomial in the variable A, normalized to 1 on the unknot.
 
-    Each extra loop multiplies by -A^2 - A^-2.  The scan's cost grows with
-    the widest boundary of ``scan_order``, so diagrams whose widest boundary
-    passes ``BRACKET_BUDGET`` points are refused before any state exists.
+    Each extra loop multiplies by delta = -A^2 - A^-2: the scan's sum, times
+    delta per crossing-free loop, divided by delta once.  The scan's cost
+    grows with the widest boundary of ``scan_order``, so diagrams whose
+    widest boundary passes ``BRACKET_BUDGET`` points are refused before any
+    state exists.
     """
     if not d.crossings and d.loops == 0:
         raise ValueError("empty diagram has no bracket in the unknot-normalized convention")
@@ -110,17 +129,8 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
             needed=width,
             budget=BRACKET_BUDGET,
         )
-    # <D> = sum over loop counts L of P_L(A) delta^(L - 1), delta = -A^2 - A^-2
-    by_loops: dict[int, dict[int, int]] = {}  # L -> P_L as {A-exponent: states}
-    for (exp, loops), count in _bracket_counts(d.crossings, order).items():
-        by_loops.setdefault(loops + d.loops, {})[exp] = count
-    coeffs: dict[int, int] = {}
-    for loops in range(max(by_loops), 0, -1):
-        coeffs, folded = by_loops.get(loops, {}), coeffs
-        for exp, c in folded.items():  # Horner: coeffs += delta * folded
-            coeffs[exp + 2] = coeffs.get(exp + 2, 0) - c
-            coeffs[exp - 2] = coeffs.get(exp - 2, 0) - c
-    return LaurentPolynomial(coeffs)
+    unnormalized = LaurentPolynomial(_bracket_scan(d.crossings, order)) * _DELTA**d.loops
+    return unnormalized.exact_div(_DELTA)
 
 
 def _writhe_normalized_bracket(d: PlanarDiagram) -> LaurentPolynomial:

@@ -33,15 +33,19 @@ class WirtingerPresentation:
     generators: tuple[str, ...]
     relators: tuple[tuple[tuple[int, int], ...], ...]
 
-    def abelianized_matrix(self) -> IntegerMatrix:
-        """Exponent-sum matrix, relators x generators."""
+    def abelianized_matrix(self) -> tuple[list[dict[int, int]], int]:
+        """Exponent-sum matrix, relators x generators, in the form ``cokernel`` takes.
+
+        One {generator: nonzero exponent sum} dict per relator, and the
+        generator count.
+        """
         rows = []
         for word in self.relators:
-            row = [0] * len(self.generators)
+            row: dict[int, int] = {}
             for g, e in word:
-                row[g] += e
-            rows.append(row)
-        return IntegerMatrix(rows) if rows else IntegerMatrix.zero(0, len(self.generators))
+                row[g] = row.get(g, 0) + e
+            rows.append({g: e for g, e in row.items() if e})
+        return rows, len(self.generators)
 
 
 def wirtinger(d: PlanarDiagram) -> WirtingerPresentation:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from linear_oracle import delete_row_col
+
 from symknot.algebra import IntegerMatrix
 from symknot.diagram import DiagramStructureError, PlanarDiagram
 
@@ -125,6 +127,4 @@ def goeritz_matrix(d: PlanarDiagram, col: CheckerboardColoring) -> GoeritzData:
             g[j][i] -= eta
     for i in range(m):
         g[i][i] = -sum(g[i])
-    g_prime = IntegerMatrix(g)
-    reduced = g_prime.delete_row_col(0, 0) if m else IntegerMatrix.zero(0, 0)
-    return GoeritzData(g_prime, reduced, tuple(etas))
+    return GoeritzData(IntegerMatrix(g), IntegerMatrix(delete_row_col(g, 0, 0)), tuple(etas))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from alexander_oracle import alexander_laurent
 from goeritz_oracle import goeritz_matrix as oracle_goeritz, other_class
-from linear_oracle import sparse_rows
+from linear_oracle import bareiss_det, matmul, smith_form, sparse_matrix
 
 from symknot.algebra import IntegerMatrix, LaurentPolynomial, eliminate_pivots, smith_normal_form
 from symknot.diagram import mirror
@@ -147,6 +147,8 @@ def test_classical_invariants_of_large_members():
         assert h1_branched_cover(d).invariant_factors == ((7, 7) if n % 7 == 0 else (49,)), n
         assert determinant_goeritz(d) == determinant_alexander(d) == 49, n
         assert alexander(d) == (odd if n % 2 else even), n
+        # a fibered knot's Alexander polynomial is monic; this one leads with 4 or 2
+        assert alexander(d)[2] == (2 if n % 2 else 4) and alexander(d).max_exp() == 2, n
         if abs(n) == 50:
             assert alexander(d) == alexander_laurent(d), n
 
@@ -157,7 +159,7 @@ def test_jones_twist_recurrence():
     # V(K_n) - q^4 V(K_{n-2}) = (q + q^-1)(1 - q^4), on small and large n
     unknot = LaurentPolynomial({1: 1, -1: 1})
     rhs = unknot * LaurentPolynomial({0: 1, 4: -1})
-    for n in [*range(-6, 10), -100, -99, 100, 101]:
+    for n in [*range(-6, 10), -100, -99, 100, 101, 2000, -1998]:
         lhs = jones(kn_template(n)) - LaurentPolynomial({4: 1}) * jones(kn_template(n - 2))
         assert lhs == rhs, n
 
@@ -170,8 +172,8 @@ def test_unit_pivots_leave_small_cores_on_the_family():
         d = kn_template(n)
         b = (2 * 4 ** (len(d.crossings) - 1)).bit_length()
         minors = [(_alexander_minor(d, 1 << b), b), (_alexander_minor(d, -1), 0)]
-        for m in (goeritz_matrix(d), oracle_goeritz(d, other_class(d)).goeritz):
-            minors.append(((sparse_rows(m.to_lists()), m.cols), 0))
+        other = oracle_goeritz(d, other_class(d)).goeritz
+        minors += [(goeritz_matrix(d), 0), (sparse_matrix(other), 0)]
         for (rows, cols), unit_bits in minors:
             assert eliminate_pivots(rows, cols, unit_bits).rows <= 4, (n, cols)
 
@@ -207,17 +209,18 @@ def test_criterion_9_skein_triple():
 
 
 def _snf_valid(m):
-    snf = smith_normal_form(m)
-    d = snf.diagonal
+    # the package keeps the diagonal; the oracle's transforms check U M V = D
+    d, u, v = smith_form(m.to_lists(), m.cols)
+    assert smith_normal_form(m) == d
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         assert b == 0 if a == 0 else b % a == 0
-    assert snf.u.determinant() in (1, -1)
-    assert snf.v.determinant() in (1, -1)
-    prod = snf.u * m * snf.v
-    for i in range(prod.rows):
-        for j in range(prod.cols):
-            assert prod[i, j] == (d[i] if i == j and i < len(d) else 0)
+    assert bareiss_det(u) in (1, -1)
+    assert bareiss_det(v) in (1, -1)
+    prod = matmul(matmul(u, m.to_lists(), m.cols), v, m.cols)
+    for i, row in enumerate(prod):
+        for j, x in enumerate(row):
+            assert x == (d[i] if i == j and i < len(d) else 0)
 
 
 def test_criterion_10_snf_random():

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from test_khovanov import count_calls, record_complex_sizes
 
 from symknot import goeritz, khovanov, polynomials
-from symknot.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
+from symknot.cli import CRITERIA, EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
 from symknot.diagram import DiagramStructureError, PdError, parse_pd
 from symknot.fixtures import kn_template
 from symknot.goeritz import determinant_goeritz, h1_branched_cover
@@ -111,6 +112,8 @@ def test_parse_errors_exit_2(capsys):
         ["invariants", "--knot", "trefoil", "--field", "z2"],
         # the Hopf link has no branched double cover homology here
         ["h1", "--pd", "X[1,3,2,4] X[3,1,4,2]"],
+        # verify-paper draws nothing at random, so it takes no seed
+        ["verify-paper", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -257,10 +260,14 @@ def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch):
         assert main(argv) == EXIT_OK, line
         capsys.readouterr()
     assert json.loads((tmp_path / "report.json").read_text())["crossings"] == 5
+    # the README names verify-paper's criteria, in order, as the CLI defines them
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`verify-paper` replays .*?: criteria ([^.]*)\.", text, re.S).group(1)
+    assert re.split(r",\s*", listed) == list(CRITERIA)
 
 
 def test_verify_paper_subsets(capsys):
-    assert main(["verify-paper", "--only", "snf,det,alexander"]) == EXIT_OK
+    assert main(["verify-paper", "--only", "det,alexander"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
@@ -316,7 +323,7 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
 
 def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     engines = ((khovanov, "scan_homology"), (goeritz, "goeritz_matrix"),
-               (polynomials, "_alexander_minor"), (polynomials, "_bracket_counts"))
+               (polynomials, "_alexander_minor"), (polynomials, "_bracket_scan"))
     calls = {name: count_calls(monkeypatch, module, name) for module, name in engines}
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
@@ -325,7 +332,7 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     # determinant), one bracket; the verdict reuses all of them
     counts = {name: len(c) for name, c in calls.items()}
     assert counts == {"scan_homology": 2, "goeritz_matrix": 1, "_alexander_minor": 1,
-                      "_bracket_counts": 1}
+                      "_bracket_scan": 1}
     d = kn_template(3)
     stages = [
         lambda: kh_homology(d, RATIONAL),

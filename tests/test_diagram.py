@@ -5,9 +5,10 @@ import pytest
 from layout_oracle import LAYOUTS, trial_layout
 from scan_oracle import rescan_order
 from test_fixtures import _random_pd_codes, _rational_corpus
-from test_khovanov import EULER_CORPUS, random_braid_corpus
+from test_khovanov import EULER_CORPUS, count_calls, random_braid_corpus
 from test_properties import _kinked
 
+from symknot import diagram
 from symknot.diagram import (
     IN,
     OUT,
@@ -105,6 +106,15 @@ def test_faces_satisfy_euler_formula():
 def test_faces_need_connected_projection():
     with pytest.raises(DiagramStructureError):
         two_unlink().faces()
+
+
+def test_connectivity_is_checked_once_per_diagram(monkeypatch):
+    # assemble_corners asks is_connected and then faces, which asks it again
+    crossings = trefoil().crossings
+    pieces = count_calls(monkeypatch, diagram, "_pieces")
+    d = PlanarDiagram(crossings)
+    assert d.is_connected() and d.faces() and d.is_connected()
+    assert len(pieces) == 1
 
 
 def test_components_and_loops():

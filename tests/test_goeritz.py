@@ -2,13 +2,14 @@ import random
 
 import pytest
 from goeritz_oracle import checkerboard, goeritz_matrix as oracle_goeritz, other_class
-from test_fixtures import _rational_corpus
+from linear_oracle import delete_row_col, sparse_matrix
+from test_fixtures import _random_pd_codes, _rational_corpus
 from test_khovanov import random_braid_corpus
 from test_properties import _relabelled
 
 from symknot.algebra import AbelianGroup, IntegerMatrix, cokernel, smith_normal_form
 from symknot import goeritz
-from symknot.diagram import DiagramStructureError, InvariantError
+from symknot.diagram import DiagramStructureError, InvariantError, PdError, PlanarDiagram
 from symknot.fixtures import (
     figure_eight,
     kn_template,
@@ -90,7 +91,7 @@ def test_goeritz_structure():
         assert len(data.incidences) == len(d.crossings)
         assert set(data.incidences) <= {1, -1}
         if gp.rows > 1:
-            assert data.goeritz == gp.delete_row_col(0, 0)
+            assert data.goeritz.to_lists() == delete_row_col(rows, 0, 0)
 
 
 def test_kink_goeritz_degenerate():
@@ -118,14 +119,26 @@ def _oracle_corpus():
 
 
 def test_goeritz_matrix_matches_oracle():
-    # the package matrix is the oracle's default class entry for entry, and
-    # the class it leaves out presents the same H1
+    # the package's sparse rows are the oracle's default class entry for
+    # entry, and the class it leaves out presents the same H1
     corpus = _oracle_corpus()
     assert len(corpus) > 400
     for d in corpus:
-        assert goeritz_matrix(d) == oracle_goeritz(d, checkerboard(d)).goeritz, d.serialize()
+        assert goeritz_matrix(d) == sparse_matrix(oracle_goeritz(d, checkerboard(d)).goeritz), d.serialize()
         other = oracle_goeritz(d, other_class(d)).goeritz
-        assert cokernel(other) == h1_branched_cover(d), d.serialize()
+        assert cokernel(*sparse_matrix(other)) == h1_branched_cover(d), d.serialize()
+    # the planar ones among seeded random codes: links, kinks, and
+    # components that pass under nothing
+    planar = 0
+    for code in _random_pd_codes():
+        d = PlanarDiagram(code)
+        try:
+            d.faces()
+        except PdError:
+            continue
+        planar += 1
+        assert goeritz_matrix(d) == sparse_matrix(oracle_goeritz(d, checkerboard(d)).goeritz), code
+    assert planar > 1000, planar
 
 
 def test_determinant_channels_agree():
@@ -185,12 +198,12 @@ def test_template_matrix_snf_class():
     # the template's reduced Goeritz form presents the same group as the
     # published 4x4 matrix, for every twist count
     for n in range(-8, 9):
-        d = kn_template(n)
-        g = goeritz_matrix(d)
-        ours = [x for x in smith_normal_form(g).diagonal if x != 1]
-        published = [x for x in smith_normal_form(paper_presentation(n)).diagonal if x != 1]
+        rows, cols = goeritz_matrix(kn_template(n))
+        g = IntegerMatrix([[row.get(j, 0) for j in range(cols)] for row in rows])
+        ours = [x for x in smith_normal_form(g) if x != 1]
+        published = [x for x in smith_normal_form(paper_presentation(n)) if x != 1]
         assert ours == published, n
-        assert cokernel(g) == cokernel(paper_presentation(n))
+        assert cokernel(rows, cols) == cokernel(*sparse_matrix(paper_presentation(n)))
 
 
 def test_rejects_links():

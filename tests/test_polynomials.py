@@ -106,7 +106,7 @@ def test_open_bracket_boundary_raises():
     # an edge label seen once is a corrupted PD code: the boundary never closes
     crossings = [(1, 2, 3, 4), (4, 3, 5, 1)]
     with pytest.raises(InvariantError, match=r"boundary \[2, 5\]"):
-        polynomials._bracket_counts(crossings, scan_order(crossings))
+        polynomials._bracket_scan(crossings, scan_order(crossings))
 
 
 def test_jones_unknots():
@@ -193,7 +193,7 @@ def test_wirtinger_shapes():
         assert len(pres.relators) == arcs
         assert all(len(word) == 4 for word in pres.relators)
         # knot group abelianizes to Z
-        assert cokernel(pres.abelianized_matrix()) == AbelianGroup((), 1)
+        assert cokernel(*pres.abelianized_matrix()) == AbelianGroup((), 1)
     pres = wirtinger(unknot_kink(1))
     assert len(pres.generators) == 1 and len(pres.relators) == 1
     pres = wirtinger(unknot_zero())
@@ -203,7 +203,7 @@ def test_wirtinger_shapes():
         knot_10_22(), pretzel(-2, 3, 3), kn_template(0), kn_template(1), kn_template(-2)
     ]
     for d in zoo + random_braid_corpus():
-        group = cokernel(wirtinger(d).abelianized_matrix())
+        group = cokernel(*wirtinger(d).abelianized_matrix())
         assert group == AbelianGroup((), d.n_components()), d.serialize()
 
 
