@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 from cube_oracle import cube_homology
@@ -467,6 +469,25 @@ def test_scanning_engine_equals_cube_oracle(field):
         assert kh_homology(d, field).dims == cube_homology(d, field), (i, d.serialize())
     for d in EULER_CORPUS + [pretzel(-2, 3, 3), knot_10_22()]:
         assert kh_homology(d, field).dims == cube_homology(d, field), d.name
+
+
+# sha256 of "PD code | char 2 | sorted raw table | the six ScanStats counters"
+# per diagram and field, joined by newlines
+SCAN_SHA256 = "0f583dab3da358c0b32251a2d65a55eda101ee76824f42819a3e9df0645fd611"
+
+
+def test_scan_tables_and_counters_frozen():
+    # the scan's own output, before the global shifts: any change to the
+    # elimination order moves a counter even where the table stays
+    zoo = [kn_template(n) for n in (*range(-3, 4), 28, -28, 100)]
+    lines = [
+        f"{d.serialize()}|{char2}|{sorted(dims.items())}|{astuple(stats)}"
+        for d in zoo + random_braid_corpus() + EULER_CORPUS
+        for char2 in (False, True)
+        for dims, stats in [scan_homology(d.crossings, d.loops, char2, KH_BUDGET)]
+    ]
+    assert len(lines) == 156
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_SHA256
 
 
 def test_scan_order_keeps_kn_boundary_at_six():
