@@ -33,6 +33,16 @@ Fractions.  Crossing i's 0-smoothing pairs slots (0,1),(2,3) and its
 1-smoothing (0,3),(1,2), with the 1-smoothing one level up and one quantum
 step up, as in the cube of resolutions.  Only the standard library is used.
 
+The entries a crossing glues repeat.  Each old entry M1 -> M2, and each
+edge M -> M of the new crossing, becomes a block of entries between the
+delooped summands of its two ends.  The block is fixed by the gluing plan
+(both matchings and smoothings, hence the summands' cap signs and shifts),
+the morphism, the Koszul sign and q(M1) - q(M2); these also fix the degree
+every entry must have.  So each distinct block is glued, and its degree
+checked, once per crossing, and written to every pair that repeats it.
+The pairs share the entry dicts, which is sound because no entry is changed
+in place: a cancellation copies an entry before it updates it.
+
 The object count is the scan's cost.  Each crossing projects the count it
 is about to build, 2^(closed circles) per old object and smoothing, and a
 projection above the bound raises ``BudgetError`` before any object is made.
@@ -52,7 +62,7 @@ __all__ = ["ScanStats", "scan_homology"]
 _SMOOTHINGS = ((1, 0, 3, 2), (3, 2, 1, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanStats:
     """Exact size counters of one scan."""
 
@@ -317,33 +327,45 @@ class _Scan:
                     for eps in product((1, -1), repeat=len(circles))
                 ]
 
-        def put(plan: _Plan, src: list, tgt: list, mor: dict, sign: int) -> None:
-            for n1, e1 in src:
-                q1 = self.objs[n1][1]
-                for n2, e2 in tgt:
-                    acc: dict[int, int] = {}
-                    for a, v in mor.items():
-                        for m, w in plan.apply(a, 0, e1, e2).items():
-                            acc[m] = acc.get(m, 0) + sign * v * w
-                    acc = self._reduce(acc)
-                    if not acc:
-                        continue
-                    twice = plan.n_cycles - half - q1 + self.objs[n2][1]
-                    if any(2 * m.bit_count() != twice for m in acc):
-                        raise InvariantError(
-                            f"glued entry {n1} -> {n2} has dot sets off the degree its shifts imply"
-                        )
-                    self.out[n1][n2] = self.inc[n2][n1] = acc
+        # (source summand, target summand, entry) per (plan, morphism, sign,
+        # q1 - q2): one glued block per key, shared by every pair that repeats it
+        blocks: dict[tuple, list[tuple[int, int, dict]]] = {}
+
+        def put(plan: _Plan, src: list, tgt: list, mor: dict, sign: int, dq: int) -> None:
+            key = (plan, tuple(mor.items()), sign, dq)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = []
+                for i, (n1, e1) in enumerate(src):
+                    q1 = self.objs[n1][1]
+                    for j, (n2, e2) in enumerate(tgt):
+                        acc: dict[int, int] = {}
+                        for a, v in mor.items():
+                            for m, w in plan.apply(a, 0, e1, e2).items():
+                                acc[m] = acc.get(m, 0) + sign * v * w
+                        acc = self._reduce(acc)
+                        if not acc:
+                            continue
+                        twice = plan.n_cycles - half - q1 + self.objs[n2][1]
+                        if any(2 * m.bit_count() != twice for m in acc):
+                            raise InvariantError(
+                                f"glued entry {n1} -> {n2} has dot sets off the degree its shifts imply"
+                            )
+                        block.append((i, j, acc))
+            for i, j, acc in block:
+                n1, n2 = src[i][0], tgt[j][0]
+                self.out[n1][n2] = self.inc[n2][n1] = acc
 
         for o1, row in out.items():
-            m1 = objs[o1][0]
+            m1, q1, _ = objs[o1]
             for o2, mor in row.items():
-                m2 = objs[o2][0]
+                m2, q2, _ = objs[o2]
                 for s in (0, 1):
-                    put(hplan(m1, m2, s, s), summands[(o1, s)], summands[(o2, s)], mor, 1)
+                    put(hplan(m1, m2, s, s), summands[(o1, s)], summands[(o2, s)], mor, 1,
+                        q1 - q2)
         for o, (match, _, r) in objs.items():
             put(hplan(match, match, 0, 1), summands[(o, 0)], summands[(o, 1)], {0: 1},
-                -1 if r & 1 else 1)
+                -1 if r & 1 else 1, 0)
 
         self.boundary = [label[v] for v in free]
         self._vplans = {}

@@ -264,7 +264,7 @@ def _slice_matrices(cube, levels, index, char2: bool):
 # -- results and operations ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KhResult:
     """Bigraded homology dimensions over one field.
 
@@ -322,7 +322,7 @@ def slice_complex(d: PlanarDiagram, q: int, field: str = RATIONAL):
     return gens, diffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThinnessReport:
     thin: bool
     diagonals: tuple[int, ...]
@@ -405,7 +405,7 @@ def reduced_f2_dims(result: KhResult) -> BigradedDims:
     return BigradedDims(red)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkeinReport:
     """Both checks of the unoriented skein triangle at one crossing."""
 

@@ -11,10 +11,13 @@ dense rows in the one form that elimination and ``cokernel`` take.
 
 ``smith_form`` is Smith normal form with its unimodular transforms U and V
 tracked, so a test can check U M V = D itself; the package keeps only the
-diagonal, which the tests compare with this one.
+diagonal, and ``snf_check`` is the one helper here that calls the package:
+it checks ``smith_normal_form`` against this diagonal and these transforms.
 """
 
 from __future__ import annotations
+
+from symknot.algebra import smith_normal_form
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -124,3 +127,30 @@ def smith_form(rows: list[list[int]], cols: int):
             u[k] = [-x for x in u[k]]
         k += 1
     return tuple(m[i][i] for i in range(limit)), u, v
+
+
+def snf_check(m):
+    """The package diagonal of ``m``, checked against the oracle's transforms: U M V = D.
+
+    A failed check raises ``AssertionError`` naming it, also under ``python -O``.
+    """
+    d = smith_normal_form(m)
+    rows = m.to_lists()
+    want, u, v = smith_form(rows, m.cols)
+    prod = matmul(matmul(u, rows, m.cols), v, m.cols)
+    checks = (
+        ("diagonal equals the oracle's", d == want),
+        ("divisibility chain", all(b == 0 if a == 0 else b % a == 0 for a, b in zip(d, d[1:]))),
+        ("diagonal >= 0", all(x >= 0 for x in d)),
+        ("U unimodular", bareiss_det(u) in (1, -1)),
+        ("V unimodular", bareiss_det(v) in (1, -1)),
+        ("U M V = D", all(
+            x == (d[i] if i == j and i < len(d) else 0)
+            for i, row in enumerate(prod)
+            for j, x in enumerate(row)
+        )),
+    )
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        raise AssertionError(f"Smith form of {rows}: {', '.join(failed)}")
+    return d
