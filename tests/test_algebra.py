@@ -184,6 +184,25 @@ def test_snf_goeritz_family():
         assert abs(goeritz_like(n).determinant()) == 49
 
 
+def test_snf_seeded_random():
+    rng = random.Random(424242)
+    for _ in range(60):
+        r = rng.randint(1, 5)
+        c = rng.randint(1, 5)
+        m = IntegerMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+        snf_check(m)
+
+
+def test_snf_matches_oracle_on_seed_8253():
+    # the 200 matrices that verify-paper checked U M V = D on, by its
+    # default seed 8253, before that library check moved into the tests
+    rng = random.Random(8253)
+    for _ in range(200):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        snf_check(IntegerMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
+
+
 def test_abelian_group_validation():
     with pytest.raises(ValueError):
         AbelianGroup((1,))
