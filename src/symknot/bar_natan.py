@@ -43,6 +43,15 @@ checked, once per crossing, and written to every pair that repeats it.
 The pairs share the entry dicts, which is sound because no entry is changed
 in place: a cancellation copies an entry before it updates it.
 
+The surfaces are shared more widely still.  A crossing's gluing depends on
+the labels only through its shape: the old boundary's size, the slots
+identified with it or with each other, and the order of the points left
+open.  The glued matchings, the plans of the glued and of the composed
+surfaces, and the dot sets their neck cutting gives are integers fixed by
+the shape and the matchings, with no coefficient in them.  So one
+``GluingGeometry`` keeps them for every crossing of the same shape, such as
+each rung of a twist ladder, and for the scans over both fields.
+
 The object count is the scan's cost.  Each crossing projects the count it
 is about to build, 2^(closed circles) per old object and smoothing, and a
 projection above the bound raises ``BudgetError`` before any object is made.
@@ -56,7 +65,7 @@ from itertools import product
 
 from .diagram import BudgetError, InvariantError, find, scan_order
 
-__all__ = ["ScanStats", "scan_homology"]
+__all__ = ["GluingGeometry", "ScanStats", "scan_homology"]
 
 # partner slot of every slot in the 0- and the 1-smoothing of a crossing
 _SMOOTHINGS = ((1, 0, 3, 2), (3, 2, 1, 0))
@@ -177,26 +186,167 @@ class _Plan:
         return out
 
 
+class _Shape:
+    """The gluing geometry of one crossing shape.
+
+    Nodes 0..n-1 are the old boundary points and n..n+3 the crossing's
+    slots; ``ident`` pairs the nodes that the gluing identifies and ``free``
+    lists the nodes left open, in the order of their labels, so that the
+    k-th one is point k of the new boundary.  Matchings index boundary
+    positions, never labels, so every crossing glued in this shape, in
+    either field, shares the glued matchings and the surface plans.
+    """
+
+    __slots__ = ("n", "ident", "free", "new_pos", "gluings", "glued", "hplans")
+
+    def __init__(self, ident: tuple[int, ...], free: tuple[int, ...]):
+        self.n = len(ident) - 4
+        self.ident = ident
+        self.free = free
+        self.new_pos = {v: k for k, v in enumerate(free)}
+        self.gluings = [(v, ident[v]) for v in range(len(ident)) if ident[v] > v]
+        self.glued: dict[tuple, tuple] = {}
+        self.hplans: dict[tuple, _Plan] = {}
+
+    def glue(self, match: tuple, s: int) -> tuple[tuple, tuple]:
+        """Matching of M + smoothing s on the new boundary, and its closed circles."""
+        key = (match, s)
+        hit = self.glued.get(key)
+        if hit is not None:
+            return hit
+        n, ident, new_pos = self.n, self.ident, self.new_pos
+        sm = _SMOOTHINGS[s]
+
+        def arc(v: int) -> int:
+            return match[v] if v < n else n + sm[v - n]
+
+        seen = [False] * (n + 4)
+        new = [0] * len(self.free)
+        for v in self.free:
+            if seen[v]:
+                continue
+            seen[v] = True
+            w = arc(v)
+            while ident[w] >= 0:
+                seen[w] = True
+                w = ident[w]
+                seen[w] = True
+                w = arc(w)
+            seen[w] = True
+            new[new_pos[v]], new[new_pos[w]] = new_pos[w], new_pos[v]
+        circles = []
+        for v in range(n + 4):
+            if not seen[v]:
+                circles.append(v)
+                w = v
+                while True:
+                    seen[w] = True
+                    w = arc(w)
+                    seen[w] = True
+                    w = ident[w]
+                    if w == v:
+                        break
+        hit = self.glued[key] = (tuple(new), tuple(circles))
+        return hit
+
+    def hplan(self, m1: tuple, m2: tuple, s1: int, s2: int) -> _Plan:
+        """Plan of the entry m1 -> m2 glued to the crossing's s1 -> s2 surface."""
+        key = (m1, m2, s1, s2)
+        plan = self.hplans.get(key)
+        if plan is not None:
+            return plan
+        n = self.n
+        new1, circ1 = self.glue(m1, s1)
+        new2, circ2 = self.glue(m2, s2)
+        cyc_a, k_a = _cycles(m1, m2)
+        cyc_b, k_b = _cycles(_SMOOTHINGS[s1], _SMOOTHINGS[s2])
+
+        def piece(v: int) -> int:
+            return cyc_a[v] if v < n else k_a + cyc_b[v - n]
+
+        cyc_n, k_n = _cycles(new1, new2)
+        plan = self.hplans[key] = _Plan(
+            k_a, k_b,
+            [(piece(v), piece(w)) for v, w in self.gluings],
+            [(cyc_n[k], piece(v)) for k, v in enumerate(self.free)],
+            k_n,
+            [piece(v) for v in circ1],
+            [piece(v) for v in circ2],
+        )
+        return plan
+
+
+class GluingGeometry:
+    """Every surface a diagram's scans glue, kept across crossings and fields.
+
+    ``shapes`` maps a crossing shape (``ident``, ``free``) to its ``_Shape``;
+    ``vplans`` maps matchings (m1, m2, m3) to the plan that composes
+    m1 -> m2 with m2 -> m3.  Nothing here depends on the coefficients.
+    """
+
+    __slots__ = ("shapes", "vplans")
+
+    def __init__(self):
+        self.shapes: dict[tuple, _Shape] = {}
+        self.vplans: dict[tuple, _Plan] = {}
+
+    def shape(self, boundary: list[int], x: tuple[int, int, int, int]) -> tuple[_Shape, list[int]]:
+        """The shape of gluing crossing ``x`` to ``boundary``, and the new boundary."""
+        n = len(boundary)
+        pos = {a: i for i, a in enumerate(boundary)}
+        ident = [-1] * (n + 4)
+        for i, a in enumerate(x):
+            p = pos.get(a)
+            if p is not None:
+                ident[p], ident[n + i] = n + i, p
+            for j in range(i + 1, 4):
+                if x[j] == a:
+                    ident[n + i], ident[n + j] = n + j, n + i
+        label = boundary + list(x)
+        free = tuple(sorted((v for v in range(n + 4) if ident[v] < 0), key=label.__getitem__))
+        key = (tuple(ident), free)
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = self.shapes[key] = _Shape(*key)
+        return shape, [label[v] for v in free]
+
+    def vplan(self, m1: tuple, m2: tuple, m3: tuple) -> _Plan:
+        """Plan of the composite m1 -> m2 -> m3."""
+        key = (m1, m2, m3)
+        plan = self.vplans.get(key)
+        if plan is None:
+            cyc_a, k_a = _cycles(m1, m2)
+            cyc_b, k_b = _cycles(m2, m3)
+            cyc_r, k_r = _cycles(m1, m3)
+            plan = self.vplans[key] = _Plan(
+                k_a, k_b,
+                [(cyc_a[p], k_a + cyc_b[p]) for p in range(len(m2)) if p < m2[p]],
+                [(cyc_r[p], cyc_a[p]) for p in range(len(m1))],
+                k_r, (), (),
+            )
+        return plan
+
+
 class _Scan:
     """The complex of the partial tangle, grown one crossing at a time.
 
     ``n_crossings`` is how many crossings the whole scan will add; a refusal
     names its crossing as "k of n_crossings", so it says how far the scan got.
+    Surfaces come from ``geometry``, a fresh one unless the caller shares one.
     """
 
-    def __init__(self, loops: int, char2: bool, bound: int, n_crossings: int):
+    def __init__(self, loops: int, char2: bool, bound: int, n_crossings: int,
+                 geometry: GluingGeometry | None = None):
         self.char2 = char2
         self.bound = bound
         self.n_crossings = n_crossings
+        self.geometry = geometry if geometry is not None else GluingGeometry()
         self.boundary: list[int] = []
         self.objs: dict[int, tuple[tuple, int, int]] = {}
         self.out: dict[int, dict[int, dict]] = {}
         self.inc: dict[int, dict[int, dict]] = {}
         self.next_id = 0
         self.counts = dict.fromkeys((f.name for f in fields(ScanStats)), 0)
-        # composition plans; matchings index the current boundary, so they
-        # are dropped whenever a crossing changes it
-        self._vplans: dict[tuple, _Plan] = {}
         self._check(2**loops, f"the {loops} crossingless loops")
         for eps in product((1, -1), repeat=loops):
             self._add((), sum(eps), 0)
@@ -225,97 +375,15 @@ class _Scan:
     # -- adding one crossing ------------------------------------------------
 
     def add_crossing(self, x: tuple[int, int, int, int]) -> None:
-        n = len(self.boundary)
-        pos = {a: i for i, a in enumerate(self.boundary)}
-        # nodes 0..n-1 are the old boundary points, n..n+3 the crossing's slots;
-        # ident pairs the nodes that the gluing identifies
-        ident = [-1] * (n + 4)
-        for i, a in enumerate(x):
-            p = pos.get(a)
-            if p is not None:
-                ident[p], ident[n + i] = n + i, p
-            for j in range(i + 1, 4):
-                if x[j] == a:
-                    ident[n + i], ident[n + j] = n + j, n + i
-        label = self.boundary + list(x)
-        free = sorted((v for v in range(n + 4) if ident[v] < 0), key=label.__getitem__)
-        new_pos = {v: k for k, v in enumerate(free)}
-        gluings = [(v, ident[v]) for v in range(n + 4) if ident[v] > v]
-
-        glued: dict[tuple, tuple] = {}
-
-        def glue(match: tuple, s: int):
-            """Matching of M + smoothing s on the new boundary, and its closed circles."""
-            key = (match, s)
-            hit = glued.get(key)
-            if hit is not None:
-                return hit
-            sm = _SMOOTHINGS[s]
-
-            def arc(v: int) -> int:
-                return match[v] if v < n else n + sm[v - n]
-
-            seen = [False] * (n + 4)
-            new = [0] * len(free)
-            for v in free:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                w = arc(v)
-                while ident[w] >= 0:
-                    seen[w] = True
-                    w = ident[w]
-                    seen[w] = True
-                    w = arc(w)
-                seen[w] = True
-                new[new_pos[v]], new[new_pos[w]] = new_pos[w], new_pos[v]
-            circles = []
-            for v in range(n + 4):
-                if not seen[v]:
-                    circles.append(v)
-                    w = v
-                    while True:
-                        seen[w] = True
-                        w = arc(w)
-                        seen[w] = True
-                        w = ident[w]
-                        if w == v:
-                            break
-            hit = glued[key] = (tuple(new), tuple(circles))
-            return hit
-
-        hplans: dict[tuple, _Plan] = {}
-
-        def hplan(m1: tuple, m2: tuple, s1: int, s2: int) -> _Plan:
-            key = (m1, m2, s1, s2)
-            plan = hplans.get(key)
-            if plan is not None:
-                return plan
-            new1, circ1 = glue(m1, s1)
-            new2, circ2 = glue(m2, s2)
-            cyc_a, k_a = _cycles(m1, m2)
-            cyc_b, k_b = _cycles(_SMOOTHINGS[s1], _SMOOTHINGS[s2])
-
-            def piece(v: int) -> int:
-                return cyc_a[v] if v < n else k_a + cyc_b[v - n]
-
-            cyc_n, k_n = _cycles(new1, new2)
-            plan = hplans[key] = _Plan(
-                k_a, k_b,
-                [(piece(v), piece(w)) for v, w in gluings],
-                [(cyc_n[k], piece(v)) for k, v in enumerate(free)],
-                k_n,
-                [piece(v) for v in circ1],
-                [piece(v) for v in circ2],
-            )
-            return plan
+        shape, boundary = self.geometry.shape(self.boundary, x)
+        glue, hplan = shape.glue, shape.hplan
 
         # new objects: every old object times both smoothings, delooped
         self._check(
             sum(1 << len(glue(m, s)[1]) for m, _, _ in self.objs.values() for s in (0, 1)),
             f"crossing {self.counts['crossings'] + 1} of {self.n_crossings} X{list(x)}",
         )
-        half = len(free) // 2
+        half = len(boundary) // 2
         objs, out, inc = self.objs, self.out, self.inc
         self.objs, self.out, self.inc = {}, {}, {}
         summands: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
@@ -328,11 +396,12 @@ class _Scan:
                 ]
 
         # (source summand, target summand, entry) per (plan, morphism, sign,
-        # q1 - q2): one glued block per key, shared by every pair that repeats it
+        # q1 - q2): one glued block per key, shared by every pair that repeats it;
+        # over F2 both signs reduce to the same entries, so the key drops it
         blocks: dict[tuple, list[tuple[int, int, dict]]] = {}
 
         def put(plan: _Plan, src: list, tgt: list, mor: dict, sign: int, dq: int) -> None:
-            key = (plan, tuple(mor.items()), sign, dq)
+            key = (plan, tuple(mor.items()), 1 if self.char2 else sign, dq)
             block = blocks.get(key)
             if block is None:
                 block = blocks[key] = []
@@ -367,11 +436,10 @@ class _Scan:
             put(hplan(match, match, 0, 1), summands[(o, 0)], summands[(o, 1)], {0: 1},
                 -1 if r & 1 else 1, 0)
 
-        self.boundary = [label[v] for v in free]
-        self._vplans = {}
+        self.boundary = boundary
         c = self.counts
         c["crossings"] += 1
-        c["max_boundary"] = max(c["max_boundary"], len(free))
+        c["max_boundary"] = max(c["max_boundary"], len(boundary))
         c["max_objects_before"] = max(c["max_objects_before"], len(self.objs))
         self.eliminate()
         c["max_objects_after"] = max(c["max_objects_after"], len(self.objs))
@@ -381,18 +449,7 @@ class _Scan:
     def _compose(self, f: dict, g: dict, m1: tuple, m2: tuple, m3: tuple) -> dict:
         """g after f, for f: m1 -> m2 and g: m2 -> m3."""
         self.counts["compositions"] += 1
-        key = (m1, m2, m3)
-        plan = self._vplans.get(key)
-        if plan is None:
-            cyc_a, k_a = _cycles(m1, m2)
-            cyc_b, k_b = _cycles(m2, m3)
-            cyc_r, k_r = _cycles(m1, m3)
-            plan = self._vplans[key] = _Plan(
-                k_a, k_b,
-                [(cyc_a[p], k_a + cyc_b[p]) for p in range(len(m2)) if p < m2[p]],
-                [(cyc_r[p], cyc_a[p]) for p in range(len(m1))],
-                k_r, (), (),
-            )
+        plan = self.geometry.vplan(m1, m2, m3)
         acc: dict[int, int] = {}
         for a, v in f.items():
             for b, w in g.items():
@@ -469,15 +526,17 @@ class _Scan:
         return dims
 
 
-def scan_homology(crossings, loops: int, char2: bool, bound: int):
+def scan_homology(crossings, loops: int, char2: bool, bound: int,
+                  geometry: GluingGeometry | None = None):
     """Khovanov homology of a PD code before the global shifts.
 
     Returns ``({(q, r): dim}, ScanStats)`` with q = (#1 - #x) + |v| and
     r = |v| in cube terms; the caller adds n_plus - 2 n_minus to q and
     subtracts n_minus from r.  A crossing that would make more than
-    ``bound`` objects raises ``BudgetError``.
+    ``bound`` objects raises ``BudgetError``.  Scans of one diagram may
+    share a ``geometry``; each call without one builds its own.
     """
-    scan = _Scan(loops, char2, bound, len(crossings))
+    scan = _Scan(loops, char2, bound, len(crossings), geometry)
     for i in scan_order(crossings):
         scan.add_crossing(tuple(crossings[i]))
     dims = scan.result()

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import BigradedDims
-from .bar_natan import ScanStats, scan_homology
+from .bar_natan import GluingGeometry, ScanStats, scan_homology
 from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, resolve_crossing
 
 __all__ = [
@@ -294,8 +294,14 @@ def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
 
 
 @memoized
+def _geometry(d: PlanarDiagram) -> GluingGeometry:
+    """The gluing surfaces that the scans of ``d`` over Q and F2 share."""
+    return GluingGeometry()
+
+
+@memoized
 def _kh_homology(d: PlanarDiagram, tag: str) -> KhResult:
-    raw, stats = scan_homology(d.crossings, d.loops, tag == F2, KH_BUDGET)
+    raw, stats = scan_homology(d.crossings, d.loops, tag == F2, KH_BUDGET, _geometry(d))
     n_plus, n_minus = d.n_plus, d.n_minus
     shift = n_plus - 2 * n_minus
     dims = {(q + shift, r - n_minus): dim for (q, r), dim in raw.items()}

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -488,6 +490,70 @@ def test_scan_tables_and_counters_frozen():
     ]
     assert len(lines) == 156
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_SHA256
+
+
+def test_shared_geometry_changes_nothing():
+    # one diagram's scans share their gluing geometry across fields; in either
+    # order each field gives the table and counters of a scan of its own
+    zoo = [kn_template(n) for n in (*range(-3, 4), 28, -28, 100)]
+    corpus = zoo + random_braid_corpus() + EULER_CORPUS
+    assert len(corpus) == 78
+    for d in corpus:
+        shift = d.n_plus - 2 * d.n_minus
+        fresh = {}
+        for field in (RATIONAL, F2):
+            raw, stats = scan_homology(d.crossings, d.loops, field == F2, KH_BUDGET)
+            dims = {(q + shift, r - d.n_minus): dim for (q, r), dim in raw.items()}
+            fresh[field] = BigradedDims(dims), stats
+        for order in ((RATIONAL, F2), (F2, RATIONAL)):
+            shared = PlanarDiagram(d.crossings, loops=d.loops)
+            for field in order:
+                r = kh_homology(shared, field)
+                assert (r.dims, r.stats) == fresh[field], (d.serialize(), order, field)
+
+
+def test_two_fields_of_one_diagram_share_plans(monkeypatch):
+    built = []
+    init = bar_natan._Plan.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(bar_natan._Plan, "__init__", counting)
+    for field in (RATIONAL, F2):
+        kh_homology(kn_template(3), field)
+    apart = len(built)
+    built.clear()
+    d = kn_template(3)
+    for field in (RATIONAL, F2):
+        kh_homology(d, field)
+    assert len(built) < apart
+
+
+def test_geometry_stays_bounded_in_n():
+    # K_n adds twist crossings of shapes already met, so its geometry, and the
+    # memory the scan keeps on the diagram, do not grow with n
+    held = {}
+    for n in (28, 100):
+        d = kn_template(n)
+        d.signs(), d.n_components()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kh_homology(d, F2)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 500_000, (n, kept)
+        geometry = khovanov._geometry(d)
+        held[n] = (
+            {key: set(shape.hplans) for key, shape in geometry.shapes.items()},
+            set(geometry.vplans),
+        )
+    assert held[28] == held[100]
 
 
 def test_scan_order_keeps_kn_boundary_at_six():
