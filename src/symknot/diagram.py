@@ -147,28 +147,6 @@ def _walk_strands(
     return inbound, walks
 
 
-def _faces(crossings: Sequence[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
-    """The faces of the rotation system, as cycles of edge-ends (crossing, slot).
-
-    Walking a face: from an edge-end, cross to the edge's other end, then
-    rotate counterclockwise to the next slot.
-    """
-    ends = _edge_ends(crossings)
-    seen = [False] * len(ends)
-    faces = []
-    for start in range(len(ends)):
-        cycle = []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            cycle.append(divmod(p, 4))
-            q = ends[p]
-            p = q - q % 4 + (q + 1) % 4
-        if cycle:
-            faces.append(tuple(cycle))
-    return faces
-
-
 def _pieces(crossings: Sequence[Sequence[int]]) -> int:
     """Number of connected pieces of the 4-valent projection of ``crossings``."""
     parent = list(range(len(crossings)))
@@ -296,32 +274,52 @@ class PlanarDiagram:
         return self._walk()[1] + self.loops
 
     @memoized
+    def _n_pieces(self) -> int:
+        """Connected pieces of the crossings' 4-valent projection, loops left out."""
+        return _pieces(self.crossings)
+
     def is_connected(self) -> bool:
-        """Connectivity of the underlying 4-valent projection."""
-        if not self.crossings:
-            return self.loops == 1
-        return not self.loops and _pieces(self.crossings) == 1
+        """Connectivity of the underlying 4-valent projection, loops included."""
+        return self._n_pieces() + self.loops == 1
 
     @memoized
-    def faces(self) -> list[tuple[tuple[int, int], ...]]:
-        """Complementary regions as cycles of edge-ends (crossing, slot).
+    def _planar_faces(self) -> list[tuple[tuple[int, int], ...]]:
+        """The faces of the crossings, as cycles of edge-ends (crossing, slot).
 
-        For a connected diagram the face count must satisfy
-        crossings - edges + faces = 2.
+        Walking a face: from an edge-end, cross to the edge's other end, then
+        rotate counterclockwise to the next slot.  No piece has Euler
+        characteristic above 2, and a piece reaches 2 exactly when it is
+        planar, so the faces are refused unless crossings - edges + faces =
+        2 x pieces; crossing-free loops are planar pieces of their own.
         """
-        if not self.crossings:
-            if self.loops == 1:
-                return [(), ()]
-            raise DiagramStructureError("faces need a connected diagram")
-        if not self.is_connected():
-            raise DiagramStructureError("faces need a connected diagram")
-        faces = _faces(self.crossings)
+        ends = _edge_ends(self.crossings)
+        seen = [False] * len(ends)
+        faces = []
+        for start in range(len(ends)):
+            cycle = []
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                cycle.append(divmod(p, 4))
+                q = ends[p]
+                p = q - q % 4 + (q + 1) % 4
+            if cycle:
+                faces.append(tuple(cycle))
+        pieces = self._n_pieces()
         euler = len(self.crossings) - self.n_arcs + len(faces)
-        if euler != 2:
+        if euler != 2 * pieces:
             raise DiagramStructureError(
-                f"rotation system is not planar: crossings - edges + faces = {euler}"
+                f"diagram is not planar: crossings - edges + faces = {euler} on {pieces} pieces"
             )
         return faces
+
+    def faces(self) -> list[tuple[tuple[int, int], ...]]:
+        """Complementary regions of a connected diagram as cycles of edge-ends (crossing, slot)."""
+        if not self.is_connected():
+            raise DiagramStructureError("faces need a connected diagram")
+        if not self.crossings:
+            return [(), ()]
+        return self._planar_faces()
 
     # -- serialization -----------------------------------------------------
 
@@ -378,14 +376,7 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
         raise PdSyntaxError("no X[...] or O term")
     d = PlanarDiagram(crossings, loops, name)
     d.orientation()
-    # no piece has Euler characteristic above 2, and a piece reaches 2 exactly
-    # when it is planar; crossing-free loops are planar pieces of their own
-    pieces = _pieces(crossings)
-    euler = len(crossings) - d.n_arcs + len(_faces(crossings))
-    if euler != 2 * pieces:
-        raise DiagramStructureError(
-            f"PD code is not planar: crossings - edges + faces = {euler} on {pieces} pieces"
-        )
+    d._planar_faces()
     return d
 
 
@@ -575,8 +566,7 @@ def assemble_corners(
     d = PlanarDiagram(crossings, loops, name)
     if normalize:
         d = d.normalized()
-    if d.is_connected():
-        d.faces()  # planarity guard
+    d._planar_faces()  # planarity guard, split wirings included
     return d
 
 

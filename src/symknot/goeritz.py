@@ -14,7 +14,7 @@ takes, as the Alexander minor is.
 from __future__ import annotations
 
 from .algebra import AbelianGroup, cokernel
-from .diagram import DiagramStructureError, InvariantError, PlanarDiagram, _edge_ends, memoized
+from .diagram import DiagramStructureError, InvariantError, PlanarDiagram, memoized
 
 __all__ = ["goeritz_matrix", "determinant_goeritz", "h1_branched_cover"]
 
@@ -43,8 +43,9 @@ def goeritz_matrix(d: PlanarDiagram) -> tuple[list[dict[int, int]], int]:
         for ci, slot in cycle:
             face[4 * ci + slot] = fi
     adjacency: list[list[int]] = [[] for _ in faces]
-    for p, q in enumerate(_edge_ends(d.crossings)):
-        adjacency[face[p]].append(face[q])
+    for p, f in enumerate(face):
+        # corners p and p + 1 flank edge-end p, so they lie on either side of its edge
+        adjacency[f].append(face[p - p % 4 + (p + 1) % 4])
     color = [-1] * len(faces)
     color[0] = 0
     queue = [0]

@@ -293,10 +293,14 @@ def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
     return _kh_homology(d, _field_tag(field))
 
 
-@memoized
+_held: list = [None, None]  # the diagram scanned last and its gluing surfaces
+
+
 def _geometry(d: PlanarDiagram) -> GluingGeometry:
-    """The gluing surfaces that the scans of ``d`` over Q and F2 share."""
-    return GluingGeometry()
+    """The surfaces the scans of ``d`` over Q and F2 share, kept for the last ``d`` only."""
+    if _held[0] is not d:
+        _held[:] = d, GluingGeometry()
+    return _held[1]
 
 
 @memoized

@@ -176,6 +176,18 @@ def test_assemble_corners_traces_directions():
         assemble_corners([((0, 1, 2, 0), True)], [], 3, "open")
 
 
+def test_assemble_corners_refuses_split_non_planar_wiring():
+    # a closed three-crossing 2-braid beside a one-crossing wiring whose two
+    # wires each join opposite corners: the second piece has genus 1
+    braid = [((2, 3, 5, 6), False), ((3, 4, 6, 7), False), ((4, 2, 7, 5), False)]
+    assert assemble_corners(braid, [], 8).n_components() == 3  # the braid and two loops
+    with pytest.raises(DiagramStructureError, match="not planar"):
+        assemble_corners([((0, 1, 1, 0), True)] + braid, [], 8)
+    # a planar piece beside it is a split diagram, which stays accepted
+    split = assemble_corners([((0, 0, 1, 1), True)] + braid, [], 8)
+    assert not split.is_connected() and split.n_components() == 2
+
+
 def test_symmetric_union_crossing_count_and_writhe():
     j = knot_5_2(True)
     for n in range(-4, 5):

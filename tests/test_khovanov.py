@@ -556,6 +556,17 @@ def test_geometry_stays_bounded_in_n():
     assert held[28] == held[100]
 
 
+def test_held_diagrams_keep_at_most_one_geometry():
+    # only the diagram scanned last keeps its glued surfaces, so a run that
+    # holds every diagram it scans holds one geometry, not one per diagram
+    held = [kn_template(n) for n in range(-10, 11)]
+    for d in held:
+        kh_homology(d, RATIONAL)
+    gc.collect()
+    kept = [obj for obj in gc.get_objects() if isinstance(obj, bar_natan.GluingGeometry)]
+    assert len(kept) <= 1, len(kept)
+
+
 def test_scan_order_keeps_kn_boundary_at_six():
     for n in range(-28, 29):
         crossings = kn_template(n).crossings
