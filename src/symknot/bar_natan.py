@@ -63,7 +63,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from .diagram import BudgetError, InvariantError, find, scan_order
+from .diagram import BudgetError, InvariantError, find
 
 __all__ = ["GluingGeometry", "ScanStats", "scan_homology"]
 
@@ -332,15 +332,15 @@ class _Scan:
 
     ``n_crossings`` is how many crossings the whole scan will add; a refusal
     names its crossing as "k of n_crossings", so it says how far the scan got.
-    Surfaces come from ``geometry``, a fresh one unless the caller shares one.
+    Surfaces come from ``geometry``, which the scans of one diagram share.
     """
 
     def __init__(self, loops: int, char2: bool, bound: int, n_crossings: int,
-                 geometry: GluingGeometry | None = None):
+                 geometry: GluingGeometry):
         self.char2 = char2
         self.bound = bound
         self.n_crossings = n_crossings
-        self.geometry = geometry if geometry is not None else GluingGeometry()
+        self.geometry = geometry
         self.boundary: list[int] = []
         self.objs: dict[int, tuple[tuple, int, int]] = {}
         self.out: dict[int, dict[int, dict]] = {}
@@ -526,18 +526,18 @@ class _Scan:
         return dims
 
 
-def scan_homology(crossings, loops: int, char2: bool, bound: int,
-                  geometry: GluingGeometry | None = None):
+def scan_homology(crossings, order, loops: int, char2: bool, bound: int,
+                  geometry: GluingGeometry):
     """Khovanov homology of a PD code before the global shifts.
 
     Returns ``({(q, r): dim}, ScanStats)`` with q = (#1 - #x) + |v| and
     r = |v| in cube terms; the caller adds n_plus - 2 n_minus to q and
-    subtracts n_minus from r.  A crossing that would make more than
-    ``bound`` objects raises ``BudgetError``.  Scans of one diagram may
-    share a ``geometry``; each call without one builds its own.
+    subtracts n_minus from r.  Crossings are glued in ``order``, a diagram's
+    ``crossing_order()``; a crossing that would make more than ``bound``
+    objects raises ``BudgetError``.  Scans of one diagram share ``geometry``.
     """
     scan = _Scan(loops, char2, bound, len(crossings), geometry)
-    for i in scan_order(crossings):
+    for i in order:
         scan.add_crossing(tuple(crossings[i]))
     dims = scan.result()
     return dims, ScanStats(**scan.counts)

@@ -321,6 +321,11 @@ class PlanarDiagram:
             return [(), ()]
         return self._planar_faces()
 
+    @memoized
+    def crossing_order(self) -> tuple[int, ...]:
+        """The order in which both scanning engines glue the crossings: ``scan_order``'s."""
+        return tuple(scan_order(self.crossings))
+
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> str:

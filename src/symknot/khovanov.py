@@ -59,7 +59,7 @@ F2 = "F2"
 
 CUBE_BUDGET = 20
 # objects of the scan's complex: K_n peaks at 414 for |n| <= 100, the closure
-# of (s1 s2^-1)^10 at 90,750 (about 150 MB); (s1 s2^-1)^12 is refused
+# of (s1 s2^-1)^10 at 90,750 (about 115 MB); (s1 s2^-1)^12 is refused
 KH_BUDGET = 100_000
 
 
@@ -305,7 +305,7 @@ def _geometry(d: PlanarDiagram) -> GluingGeometry:
 
 @memoized
 def _kh_homology(d: PlanarDiagram, tag: str) -> KhResult:
-    raw, stats = scan_homology(d.crossings, d.loops, tag == F2, KH_BUDGET, _geometry(d))
+    raw, stats = scan_homology(d.crossings, d.crossing_order(), d.loops, tag == F2, KH_BUDGET, _geometry(d))
     n_plus, n_minus = d.n_plus, d.n_minus
     shift = n_plus - 2 * n_minus
     dims = {(q + shift, r - n_minus): dim for (q, r), dim in raw.items()}

@@ -1,8 +1,8 @@
 """Classical polynomial invariants: Kauffman bracket, Jones, Alexander.
 
 The bracket is an exact state sum over all smoothings, contracted by
-planar scanning: crossings are glued one at a time in ``scan_order``, and
-each partial smoothing is kept only as the pairing it leaves on the open
+planar scanning: crossings are glued in the diagram's ``crossing_order()``,
+and each partial smoothing is kept only as the pairing it leaves on the open
 boundary, each pairing with one {A-exponent: coefficient} dict.  A loop
 multiplies its smoothing's part by -A^2 - A^-2 as soon as it closes
 (L. Kauffman, *State models and the Jones polynomial*, Topology 26
@@ -31,7 +31,7 @@ divides that unknot factor out.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial, eliminate_pivots
-from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, scan_order, scan_width
+from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, scan_width
 
 __all__ = [
     "BRACKET_BUDGET",
@@ -72,7 +72,7 @@ def _join(partner: dict[int, int], u: int, v: int) -> int:
     return 0
 
 
-def _bracket_scan(crossings, order: list[int]) -> dict[int, int]:
+def _bracket_scan(crossings, order) -> dict[int, int]:
     """Sum over all smoothings of A^(a - b) delta^loops, by planar scanning.
 
     a and b count the 0- and 1-smoothings, and ``loops`` the loops closed.
@@ -113,14 +113,14 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     """Bracket polynomial in the variable A, normalized to 1 on the unknot.
 
     Each extra loop multiplies by delta = -A^2 - A^-2: the scan's sum, times
-    delta per crossing-free loop, divided by delta once.  The scan's cost
-    grows with the widest boundary of ``scan_order``, so diagrams whose
-    widest boundary passes ``BRACKET_BUDGET`` points are refused before any
-    state exists.
+    delta per crossing-free loop, divided by delta once.  The scan glues
+    the crossings in ``d.crossing_order()``, and its cost grows with the
+    widest boundary of that order, so diagrams whose widest boundary
+    passes ``BRACKET_BUDGET`` points are refused before any state exists.
     """
     if not d.crossings and d.loops == 0:
         raise ValueError("empty diagram has no bracket in the unknot-normalized convention")
-    order = scan_order(d.crossings)
+    order = d.crossing_order()
     width = scan_width(d.crossings, order)
     if width > BRACKET_BUDGET:
         raise BudgetError(

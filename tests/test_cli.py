@@ -5,13 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from test_khovanov import count_calls, record_complex_sizes
 
-from symknot import goeritz, khovanov, polynomials
+from symknot import diagram, goeritz, khovanov, polynomials
 from symknot.cli import CRITERIA, EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
-from symknot.diagram import DiagramStructureError, PdError, parse_pd
+from symknot.diagram import DiagramStructureError, PdError, PlanarDiagram, parse_pd
 from symknot.fixtures import kn_template
 from symknot.goeritz import determinant_goeritz, h1_branched_cover
 from symknot.khovanov import F2, RATIONAL, kh_homology
@@ -309,7 +310,7 @@ def test_verify_paper_bad_flags(capsys):
 
 
 def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
-    # one call per scan: (crossings, loops, over F2, budget)
+    # one call per scan: (crossings, order, loops, over F2, budget, geometry)
     calls = count_calls(monkeypatch, khovanov, "scan_homology")
     argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,skein,euler,mirror", "--n-range", "-3..3"]
     assert main(argv) == EXIT_OK
@@ -345,6 +346,7 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
         lambda: jones(d),
         d.orientation,
         d.signs,
+        d.crossing_order,
         d.faces,
     ]
     first = [stage() for stage in stages]
@@ -352,6 +354,31 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     counts = {name: len(c) for name, c in calls.items()}
     assert all(stage() is held for stage, held in zip(stages, first))
     assert {name: len(c) for name, c in calls.items()} == counts
+
+
+def test_each_diagram_chooses_its_scan_order_once(capsys, monkeypatch):
+    orders = count_calls(monkeypatch, diagram, "scan_order")
+    assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
+    capsys.readouterr()
+    # the bracket and the scans over Q and F2 read one order
+    assert len(orders) == 1
+    orders.clear()
+    built = []
+    init = PlanarDiagram.__init__
+
+    def keeping(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(PlanarDiagram, "__init__", keeping)
+    argv = ["verify-paper", "--only", "kh,khf2,identify,euler", "--n-range", "-3..3"]
+    assert main(argv) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    # at most one order per diagram object, counted by the crossings tuple each
+    # one holds: the crossing-free diagrams all hold the empty tuple
+    held = Counter(id(d.crossings) for d in built)
+    chosen = Counter(id(args[0]) for args in orders)
+    assert orders and all(n <= held[key] for key, n in chosen.items()), (len(orders), len(built))
 
 
 def test_verify_paper_json(capsys, tmp_path):

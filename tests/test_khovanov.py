@@ -7,9 +7,9 @@ from dataclasses import astuple
 import pytest
 from cube_oracle import cube_homology
 
-from symknot import bar_natan, khovanov
-from symknot.algebra import BigradedDims
-from symknot.bar_natan import scan_homology
+from symknot import bar_natan, khovanov, polynomials
+from symknot.algebra import BigradedDims, LaurentPolynomial
+from symknot.bar_natan import GluingGeometry, scan_homology
 from symknot.diagram import (
     BudgetError,
     InvariantError,
@@ -486,7 +486,9 @@ def test_scan_tables_and_counters_frozen():
         f"{d.serialize()}|{char2}|{sorted(dims.items())}|{astuple(stats)}"
         for d in zoo + random_braid_corpus() + EULER_CORPUS
         for char2 in (False, True)
-        for dims, stats in [scan_homology(d.crossings, d.loops, char2, KH_BUDGET)]
+        for dims, stats in [
+            scan_homology(d.crossings, d.crossing_order(), d.loops, char2, KH_BUDGET, GluingGeometry())
+        ]
     ]
     assert len(lines) == 156
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_SHA256
@@ -502,7 +504,9 @@ def test_shared_geometry_changes_nothing():
         shift = d.n_plus - 2 * d.n_minus
         fresh = {}
         for field in (RATIONAL, F2):
-            raw, stats = scan_homology(d.crossings, d.loops, field == F2, KH_BUDGET)
+            raw, stats = scan_homology(
+                d.crossings, d.crossing_order(), d.loops, field == F2, KH_BUDGET, GluingGeometry()
+            )
             dims = {(q + shift, r - d.n_minus): dim for (q, r), dim in raw.items()}
             fresh[field] = BigradedDims(dims), stats
         for order in ((RATIONAL, F2), (F2, RATIONAL)):
@@ -510,6 +514,26 @@ def test_shared_geometry_changes_nothing():
             for field in order:
                 r = kh_homology(shared, field)
                 assert (r.dims, r.stats) == fresh[field], (d.serialize(), order, field)
+
+
+def test_scans_do_not_depend_on_the_crossing_order():
+    # every order glues the same closed tangle: both fields' tables and the
+    # bracket stay, while the ScanStats counters may move; the bracket is
+    # compared as a polynomial, since the raw dict can keep a zero coefficient
+    # in some orders
+    rng = random.Random(16)
+    for d in EULER_CORPUS:
+        order = d.crossing_order()
+        shuffles = [rng.sample(order, len(order)) for _ in range(2)]
+        for char2 in (False, True):
+            dims, _ = scan_homology(d.crossings, order, d.loops, char2, KH_BUDGET, GluingGeometry())
+            for shuffled in shuffles:
+                again, _ = scan_homology(d.crossings, shuffled, d.loops, char2, KH_BUDGET, GluingGeometry())
+                assert again == dims, (d.name, char2, shuffled)
+        bracket = LaurentPolynomial(polynomials._bracket_scan(d.crossings, order))
+        for shuffled in shuffles:
+            again = LaurentPolynomial(polynomials._bracket_scan(d.crossings, shuffled))
+            assert again == bracket, (d.name, shuffled)
 
 
 def test_two_fields_of_one_diagram_share_plans(monkeypatch):
@@ -620,13 +644,13 @@ def test_neck_cutting_rules():
 def test_open_boundary_after_last_crossing_raises():
     # an edge label seen once is a corrupted PD code: the tangle never closes
     with pytest.raises(InvariantError, match="boundary"):
-        scan_homology([(1, 2, 3, 4)], 0, True, KH_BUDGET)
+        scan_homology([(1, 2, 3, 4)], [0], 0, True, KH_BUDGET, GluingGeometry())
 
 
 def test_glued_entry_of_wrong_degree_raises():
     # the unknot's two delooped summands, q = +1 and q = -1, joined by a
     # scalar: that map has degree 0, not the 2 its shifts imply
-    scan = bar_natan._Scan(1, False, KH_BUDGET, 1)
+    scan = bar_natan._Scan(1, False, KH_BUDGET, 1, GluingGeometry())
     top, bottom = scan.objs
     scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
     with pytest.raises(InvariantError, match="degree"):
