@@ -494,6 +494,38 @@ def test_scan_tables_and_counters_frozen():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_SHA256
 
 
+def _scan_corpus():
+    zoo = [kn_template(n) for n in (*range(-3, 4), 28, -28, 100)]
+    return zoo + random_braid_corpus() + EULER_CORPUS
+
+
+# frozen apart from how the Q scan ends: the 78 F2 lines of
+# test_scan_tables_and_counters_frozen, and the 78 Q tables of kh_homology
+F2_SCAN_SHA256 = "4abeae09a9075214067283051885e5274fd7691b5dd9ab6005e4225a02857dd1"
+Q_TABLES_SHA256 = "93d8196e89655effec9497017857b6d5f8beeb5756fa1b94c5bd27104592d6fe"
+
+
+def test_f2_scan_lines_frozen():
+    lines = []
+    for d in _scan_corpus():
+        # the scan's table comes first and its counters last
+        dims, *_, stats = scan_homology(
+            d.crossings, d.crossing_order(), d.loops, True, KH_BUDGET, GluingGeometry()
+        )
+        lines.append(f"{d.serialize()}|True|{sorted(dims.items())}|{astuple(stats)}")
+    assert len(lines) == 78
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == F2_SCAN_SHA256
+
+
+def test_q_tables_frozen():
+    lines = [
+        f"{d.serialize()}|{sorted(kh_homology(d, RATIONAL).dims.dims.items())}"
+        for d in _scan_corpus()
+    ]
+    assert len(lines) == 78
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == Q_TABLES_SHA256
+
+
 def test_shared_geometry_changes_nothing():
     # one diagram's scans share their gluing geometry across fields; in either
     # order each field gives the table and counters of a scan of its own
