@@ -26,12 +26,16 @@ dotted sphere 1, torus 2.  A dot set S on k cycles between matchings of n
 points has degree k - n/2 - 2|S|, and a map of complexes (M1, q1) ->
 (M2, q2) has degree q1 - q2.
 
-Over F2 coefficients are reduced mod 2.  Over Q every saddle carries the
-Koszul sign (-1)^level, cancellations pivot only on +-1 while boundary
-points remain, and the final scalar matrices pivot on any entry, through
-Fractions.  Crossing i's 0-smoothing pairs slots (0,1),(2,3) and its
-1-smoothing (0,3),(1,2), with the 1-smoothing one level up and one quantum
-step up, as in the cube of resolutions.  Only the standard library is used.
+Over F2 coefficients are reduced mod 2.  Otherwise every saddle carries
+the Koszul sign (-1)^level and the arithmetic is over Z: cancellations
+pivot only on +-1, so every step is a homotopy equivalence over Z and the
+complex the scan leaves has only entries that are not units.  Its blocks,
+integer matrices from (q, r) to (q, r + 1), give the homology over Q, its
+torsion and, by universal coefficients, the homology over F2 (Smith forms,
+in ``symknot.khovanov``).  Crossing i's 0-smoothing pairs slots (0,1),(2,3)
+and its 1-smoothing (0,3),(1,2), with the 1-smoothing one level up and one
+quantum step up, as in the cube of resolutions.  Only the standard library
+is used.
 
 The entries a crossing glues repeat.  Each old entry M1 -> M2, and each
 edge M -> M of the new crossing, becomes a block of entries between the
@@ -60,9 +64,9 @@ projection above the bound raises ``BudgetError`` before any object is made.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import product
 
+from .algebra import IntegerMatrix
 from .diagram import BudgetError, InvariantError, find
 
 __all__ = ["GluingGeometry", "ScanStats", "scan_homology"]
@@ -457,20 +461,16 @@ class _Scan:
                     acc[m] = acc.get(m, 0) + v * w * u
         return acc
 
-    def _pivot(self, x: int, y: int):
-        """The inverse of the entry x -> y if it may be cancelled now, else None."""
+    def _pivot(self, x: int, y: int) -> int | None:
+        """The inverse of the entry x -> y if it is +-1 times an identity, else None."""
         mor = self.out[x].get(y)
         if mor is None or len(mor) != 1 or self.objs[x][0] != self.objs[y][0]:
             return None
         c = mor.get(0)
-        if c in (1, -1):
-            return c
-        if c is None or self.boundary:
-            return None
-        return Fraction(1, 1) / c
+        return c if c in (1, -1) else None
 
-    def _cancel(self, b1: int, b2: int, inv) -> list[tuple[int, int]]:
-        """Remove b1 -> b2 (an isomorphism with inverse ``inv``); return changed entries."""
+    def _cancel(self, b1: int, b2: int, inv: int) -> list[tuple[int, int]]:
+        """Remove b1 -> b2 (a unit with inverse ``inv``); return changed entries."""
         out, inc = self.out, self.inc
         srcs = [(x, f) for x, f in inc[b2].items() if x != b1]
         tgts = [(y, g) for y, g in out[b1].items() if y != b2]
@@ -505,7 +505,7 @@ class _Scan:
         return changed
 
     def eliminate(self) -> None:
-        """Cancel isomorphism entries until none is left."""
+        """Cancel unit entries until none is left."""
         work = [(x, y) for x, row in self.out.items() for y in row]
         while work:
             x, y = work.pop()
@@ -515,29 +515,53 @@ class _Scan:
             if inv is not None:
                 work.extend(self._cancel(x, y, inv))
 
-    def result(self) -> dict[tuple[int, int], int]:
+    def result(self) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], IntegerMatrix]]:
+        """Object counts per (q, r) and the blocks of the entries left between them.
+
+        The block of (q, r) has a row per object there and a column per object
+        at (q, r + 1), each in the order the scan made them; a (q, r) whose
+        entries are all zero has none.  Over F2 every entry is a unit, so none
+        may be left.
+        """
         if self.boundary:
             raise InvariantError(f"boundary {self.boundary} left open after the last crossing")
-        if any(self.out.values()):
+        if self.char2 and any(self.out.values()):
             raise InvariantError("a differential entry survived the final elimination")
-        dims: dict[tuple[int, int], int] = {}
-        for _, q, r in self.objs.values():
-            dims[(q, r)] = dims.get((q, r), 0) + 1
-        return dims
+        at: dict[tuple[int, int], list[int]] = {}
+        for i, (_, q, r) in self.objs.items():
+            at.setdefault((q, r), []).append(i)
+        blocks = {}
+        for (q, r), sources in at.items():
+            if not any(self.out[x] for x in sources):
+                continue
+            col = {y: j for j, y in enumerate(at.get((q, r + 1), ()))}
+            rows = []
+            for x in sources:
+                row = [0] * len(col)
+                for y, mor in self.out[x].items():
+                    if y not in col:
+                        raise InvariantError(f"entry {x} -> {y} leaves the (q, r) -> (q, r + 1) blocks")
+                    row[col[y]] = mor[0]
+                rows.append(row)
+            blocks[(q, r)] = IntegerMatrix(rows)
+        return {key: len(ids) for key, ids in at.items()}, blocks
 
 
 def scan_homology(crossings, order, loops: int, char2: bool, bound: int,
                   geometry: GluingGeometry):
-    """Khovanov homology of a PD code before the global shifts.
+    """The complex a PD code's Khovanov complex reduces to, before the global shifts.
 
-    Returns ``({(q, r): dim}, ScanStats)`` with q = (#1 - #x) + |v| and
-    r = |v| in cube terms; the caller adds n_plus - 2 n_minus to q and
-    subtracts n_minus from r.  Crossings are glued in ``order``, a diagram's
+    Returns ``({(q, r): objects}, {(q, r): block}, ScanStats)`` with
+    q = (#1 - #x) + |v| and r = |v| in cube terms; the caller adds
+    n_plus - 2 n_minus to q and subtracts n_minus from r.  A block is the
+    ``IntegerMatrix`` of the entries from (q, r) to (q, r + 1) (see
+    ``_Scan.result``).  Over F2 no block is left, so the counts are the
+    homology.  Crossings are glued in ``order``, a diagram's
     ``crossing_order()``; a crossing that would make more than ``bound``
     objects raises ``BudgetError``.  Scans of one diagram share ``geometry``.
     """
     scan = _Scan(loops, char2, bound, len(crossings), geometry)
     for i in order:
         scan.add_crossing(tuple(crossings[i]))
-    dims = scan.result()
-    return dims, ScanStats(**scan.counts)
+    counts, blocks = scan.result()
+    return counts, blocks, ScanStats(**scan.counts)

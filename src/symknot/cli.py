@@ -19,7 +19,8 @@ Reports are JSON with sorted keys, so byte-identical round trips need
 nothing beyond ``json.dumps(..., indent=2, sort_keys=True)``; timing
 fields are the only values that vary between runs.  ``kh`` and
 ``invariants`` also carry a ``stats`` block beside ``timings``: the exact
-size counters of each Khovanov scan, keyed like its timing.
+size counters of each Khovanov stage that ran a scan, keyed like its
+timing.
 """
 
 import argparse
@@ -160,8 +161,10 @@ class _Timer:
         return out
 
     def homology(self, stage: str, fn):
+        """Time a Khovanov stage and keep its counters if it ran a scan of its own."""
         result = self.run(stage, fn)
-        self.stats[stage] = dataclasses.asdict(result.stats)
+        if result.stats is not None:
+            self.stats[stage] = dataclasses.asdict(result.stats)
         return result
 
     def attach(self, report: dict) -> None:

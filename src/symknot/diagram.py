@@ -83,6 +83,8 @@ def memoized(fn):
     The value is kept in ``d``'s cache under ``(fn, *args)``, so a second
     call returns the same object.  A call that raises stores nothing: a
     refused or failed stage runs again when it is asked for again.
+    ``stage.held(d, *args)`` returns the kept value without running the
+    stage, or None when there is none.
     """
 
     @functools.wraps(fn)
@@ -92,6 +94,10 @@ def memoized(fn):
             d._cache[key] = fn(d, *args)
         return d._cache[key]
 
+    def held(d, *args):
+        return d._cache.get((fn, *args))
+
+    stage.held = held
     return stage
 
 

@@ -18,7 +18,19 @@ are delooped and identity entries cancelled after each one, so the complex
 stays a few hundred objects wide instead of growing with the 2^c vertices
 of the cube.  Its one budget, ``KH_BUDGET``, bounds that object count: the
 scan refuses a crossing that would build more objects, before building
-them.  The cube of resolutions itself stays in this module, outside the
+them.
+
+One integral scan serves both fields.  It cancels only entries +-1, so
+the small complex it leaves is homotopy equivalent to the Khovanov complex
+over Z; the Smith form of each of its (q, r) -> (q, r + 1) blocks gives
+the free ranks (the table over Q), the invariant factors above 1 (the
+torsion) and the ranks mod 2, hence the table over F2 by universal
+coefficients.  The F2 result reads that scan when the diagram already
+holds it; asked for first or alone, F2 runs its own scan mod 2, which is
+faster: there an even entry vanishes and an odd one cancels, where over Z
+both stay.  Either way one diagram's F2 result is computed once.
+
+The cube of resolutions itself stays in this module, outside the
 package's top-level namespace, as an inspection hook: ``build_cube`` and
 ``slice_complex`` give the generators and raw differentials of one
 q-slice.
@@ -31,7 +43,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import BigradedDims
+from .algebra import BigradedDims, IntegerMatrix, smith_normal_form
 from .bar_natan import GluingGeometry, ScanStats, scan_homology
 from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, resolve_crossing
 
@@ -268,8 +280,9 @@ def _slice_matrices(cube, levels, index, char2: bool):
 class KhResult:
     """Bigraded homology dimensions over one field.
 
-    ``stats`` holds the scan's exact size counters; it takes no part in
-    equality, so two results compare by their tables alone.
+    ``stats`` holds the exact size counters of the scan that computed the
+    result, and is None for an F2 result read off the integral scan; it
+    takes no part in equality, so two results compare by their tables alone.
     """
 
     field: str
@@ -284,35 +297,102 @@ class KhResult:
 def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
     """Bigraded Khovanov homology of ``d`` over Q or F2 by Bar-Natan scanning.
 
-    ``field`` is "Q" or "F2" in either letter case, and the scan runs once
-    per diagram and field whichever case names it; any other name raises
-    ``ValueError``.
+    ``field`` is "Q" or "F2" in either letter case, and each field's result
+    is computed once per diagram whichever case names it; any other name
+    raises ``ValueError``.  Q reads the diagram's integral scan; F2 reads it
+    too when the diagram holds it, and otherwise scans mod 2.
     Raises ``BudgetError`` when the scan would hold more than ``KH_BUDGET``
     objects.
     """
-    return _kh_homology(d, _field_tag(field))
+    if _field_tag(field) == RATIONAL:
+        return _kh_integral(d).rational
+    return _kh_f2(d)
 
 
 _held: list = [None, None]  # the diagram scanned last and its gluing surfaces
 
 
 def _geometry(d: PlanarDiagram) -> GluingGeometry:
-    """The surfaces the scans of ``d`` over Q and F2 share, kept for the last ``d`` only."""
+    """The surfaces the scans of ``d`` over Z and F2 share, kept for the last ``d`` only."""
     if _held[0] is not d:
         _held[:] = d, GluingGeometry()
     return _held[1]
 
 
-@memoized
-def _kh_homology(d: PlanarDiagram, tag: str) -> KhResult:
-    raw, stats = scan_homology(d.crossings, d.crossing_order(), d.loops, tag == F2, KH_BUDGET, _geometry(d))
-    n_plus, n_minus = d.n_plus, d.n_minus
-    shift = n_plus - 2 * n_minus
-    dims = {(q + shift, r - n_minus): dim for (q, r), dim in raw.items()}
+def _scan(d: PlanarDiagram, char2: bool):
+    return scan_homology(d.crossings, d.crossing_order(), d.loops, char2, KH_BUDGET, _geometry(d))
+
+
+def _shifted(d: PlanarDiagram, raw: dict) -> dict:
+    """``raw`` keyed by (q, u), the scan's (q, r) with the global shifts added."""
+    n_minus = d.n_minus
+    shift = d.n_plus - 2 * n_minus
+    out = {(q + shift, r - n_minus): v for (q, r), v in raw.items()}
     parity = d.n_components() % 2
-    if any(q % 2 != parity for (q, _) in dims):
+    if any(q % 2 != parity for (q, _) in out):
         raise InvariantError(f"quantum gradings of {d.name or 'the diagram'} break parity {parity}")
-    return KhResult(field=tag, dims=BigradedDims(dims), stats=stats)
+    return out
+
+
+def _composes_to_zero(first: IntegerMatrix, then: IntegerMatrix) -> bool:
+    later = then.to_lists()
+    return not any(
+        sum(a * later[j][k] for j, a in enumerate(row) if a)
+        for row in first.to_lists()
+        for k in range(then.cols)
+    )
+
+
+def _over_z(counts: dict, blocks: dict) -> tuple[dict, dict, dict]:
+    """Free ranks, ranks mod 2 and torsion per (q, r) of a scan's leftover complex.
+
+    ``counts`` and ``blocks`` are the first two values of ``scan_homology``.
+    The nonzero invariant factors of a block give its rank over Q, the odd
+    ones its rank over F2, and those above 1 the torsion of the group at
+    the block's target.
+    """
+    for (q, r), block in blocks.items():
+        then = blocks.get((q, r + 1))
+        if then is not None and not _composes_to_zero(block, then):
+            raise InvariantError(f"the blocks out of {(q, r)} and {(q, r + 1)} do not compose to zero")
+    factors = {key: [f for f in smith_normal_form(block) if f] for key, block in blocks.items()}
+    free, mod2, torsion = {}, {}, {}
+    for (q, r), n in counts.items():
+        out, into = factors.get((q, r), ()), factors.get((q, r - 1), ())
+        free[(q, r)] = n - len(out) - len(into)
+        mod2[(q, r)] = n - sum(f & 1 for f in out) - sum(f & 1 for f in into)
+        if any(f > 1 for f in into):
+            torsion[(q, r)] = tuple(f for f in into if f > 1)
+    return free, mod2, torsion
+
+
+@dataclass(frozen=True, slots=True)
+class _Integral:
+    """Khovanov homology over Z: both fields' results and the torsion per (q, u)."""
+
+    rational: KhResult
+    f2: KhResult
+    torsion: dict[tuple[int, int], tuple[int, ...]]
+
+
+@memoized
+def _kh_integral(d: PlanarDiagram) -> _Integral:
+    counts, blocks, stats = _scan(d, False)
+    free, mod2, torsion = _over_z(counts, blocks)
+    return _Integral(
+        rational=KhResult(field=RATIONAL, dims=BigradedDims(_shifted(d, free)), stats=stats),
+        f2=KhResult(field=F2, dims=BigradedDims(_shifted(d, mod2))),
+        torsion=_shifted(d, torsion),
+    )
+
+
+@memoized
+def _kh_f2(d: PlanarDiagram) -> KhResult:
+    integral = _kh_integral.held(d)
+    if integral is not None:
+        return integral.f2
+    counts, _, stats = _scan(d, True)
+    return KhResult(field=F2, dims=BigradedDims(_shifted(d, counts)), stats=stats)
 
 
 def slice_complex(d: PlanarDiagram, q: int, field: str = RATIONAL):

@@ -216,7 +216,8 @@ def test_stats_and_timing_labels(capsys):
     assert set(report["stats"]) == {"khovanov"}
     assert report["stats"]["khovanov"]["crossings"] == 5
     _, report, _ = run_json(capsys, ["invariants", "--knot", "trefoil"])
-    assert set(report["stats"]) == {"khovanov_Q", "khovanov_F2"}
+    # F2 reads the Q stage's integral scan, so only Q ran a scan with counters
+    assert set(report["stats"]) == {"khovanov_Q"}
     assert set(report["stats"]["khovanov_Q"]) == {
         "crossings", "max_boundary", "max_objects_before", "max_objects_after",
         "cancellations", "compositions",
@@ -226,6 +227,8 @@ def test_stats_and_timing_labels(capsys):
         "determinant_goeritz", "determinant_alexander", "alexander", "h1", "jones",
         "jones_normalized", "khovanov_Q", "khovanov_F2", "verdict",
     }
+    _, report, _ = run_json(capsys, ["invariants", "--knot", "trefoil", "--field", "F2"])
+    assert set(report["stats"]) == {"khovanov_F2"}
 
 
 def test_json_dash_writes_stdout(capsys, tmp_path, monkeypatch):
@@ -315,11 +318,12 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
     argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,skein,euler,mirror", "--n-range", "-3..3"]
     assert main(argv) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
-    # K_-3..K_3 over both fields, which ccc reuses over F2; skein adds over
-    # Q the oriented resolution of K_2 (its unoriented one is K_1); the 16
-    # corpus diagrams (5_2 and 10_22 among them) add 13 over Q past K_0 and
-    # K_+-1, and their mirrors 10 past the 6 the corpus holds
-    assert len(calls) == len(set(calls)) == 7 + 7 + 1 + 13 + 10
+    # K_-3..K_3 once, over Z: khf2 and ccc read F2 off those scans; skein
+    # adds the oriented resolution of K_2 (its unoriented one is K_1); the 16
+    # corpus diagrams (5_2 and 10_22 among them) add 13 past K_0 and K_+-1,
+    # and their mirrors 10 past the 6 the corpus holds
+    assert len(calls) == len(set(calls)) == 7 + 1 + 13 + 10
+    assert not any(char2 for _, _, _, char2, _, _ in calls)
 
 
 def test_invariants_runs_each_stage_once(capsys, monkeypatch):
@@ -328,12 +332,18 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     calls = {name: count_calls(monkeypatch, module, name) for module, name in engines}
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
-    # two scans (Q, F2), one Goeritz matrix (H1, whose order is its
-    # determinant), one Alexander minor (Alexander, whose value at -1 is its
-    # determinant), one bracket; the verdict reuses all of them
+    # one integral scan (Q, and F2 read off it), one Goeritz matrix (H1, whose
+    # order is its determinant), one Alexander minor (Alexander, whose value at
+    # -1 is its determinant), one bracket; the verdict reuses all of them
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"scan_homology": 2, "goeritz_matrix": 1, "_alexander_minor": 1,
+    assert counts == {"scan_homology": 1, "goeritz_matrix": 1, "_alexander_minor": 1,
                       "_bracket_scan": 1}
+    # asked for alone, F2 runs one scan mod 2 and no integral one
+    scans = calls["scan_homology"]
+    scans.clear()
+    assert main(["invariants", "--symun", "5_2", "--n", "3", "--field", "F2"]) == EXIT_OK
+    capsys.readouterr()
+    assert [args[3] for args in scans] == [True]
     d = kn_template(3)
     stages = [
         lambda: kh_homology(d, RATIONAL),
@@ -360,7 +370,7 @@ def test_each_diagram_chooses_its_scan_order_once(capsys, monkeypatch):
     orders = count_calls(monkeypatch, diagram, "scan_order")
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
-    # the bracket and the scans over Q and F2 read one order
+    # the bracket and the integral scan read one order
     assert len(orders) == 1
     orders.clear()
     built = []

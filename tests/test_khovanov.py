@@ -8,7 +8,7 @@ import pytest
 from cube_oracle import cube_homology
 
 from symknot import bar_natan, khovanov, polynomials
-from symknot.algebra import BigradedDims, LaurentPolynomial
+from symknot.algebra import BigradedDims, IntegerMatrix, LaurentPolynomial
 from symknot.bar_natan import GluingGeometry, scan_homology
 from symknot.diagram import (
     BudgetError,
@@ -473,30 +473,29 @@ def test_scanning_engine_equals_cube_oracle(field):
         assert kh_homology(d, field).dims == cube_homology(d, field), d.name
 
 
-# sha256 of "PD code | char 2 | sorted raw table | the six ScanStats counters"
-# per diagram and field, joined by newlines
-SCAN_SHA256 = "0f583dab3da358c0b32251a2d65a55eda101ee76824f42819a3e9df0645fd611"
-
-
-def test_scan_tables_and_counters_frozen():
-    # the scan's own output, before the global shifts: any change to the
-    # elimination order moves a counter even where the table stays
-    zoo = [kn_template(n) for n in (*range(-3, 4), 28, -28, 100)]
-    lines = [
-        f"{d.serialize()}|{char2}|{sorted(dims.items())}|{astuple(stats)}"
-        for d in zoo + random_braid_corpus() + EULER_CORPUS
-        for char2 in (False, True)
-        for dims, stats in [
-            scan_homology(d.crossings, d.crossing_order(), d.loops, char2, KH_BUDGET, GluingGeometry())
-        ]
-    ]
-    assert len(lines) == 156
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_SHA256
-
-
 def _scan_corpus():
     zoo = [kn_template(n) for n in (*range(-3, 4), 28, -28, 100)]
     return zoo + random_braid_corpus() + EULER_CORPUS
+
+
+# sha256 of "PD code | object counts | leftover blocks | the six ScanStats
+# counters" per diagram of the integral scan, joined by newlines
+Q_SCAN_SHA256 = "87d3f4a440cc985905695b53c4c414d8df72a95e0672ec0039bb7b2f0c14ff55"
+
+
+def test_scan_tables_and_counters_frozen():
+    # the integral scan's own output, before the global shifts: any change to
+    # the elimination order moves a counter even where the homology stays; the
+    # F2 scan's lines are frozen in F2_SCAN_SHA256
+    lines = []
+    for d in _scan_corpus():
+        counts, blocks, stats = scan_homology(
+            d.crossings, d.crossing_order(), d.loops, False, KH_BUDGET, GluingGeometry()
+        )
+        leftover = sorted((key, block.to_lists()) for key, block in blocks.items())
+        lines.append(f"{d.serialize()}|{sorted(counts.items())}|{leftover}|{astuple(stats)}")
+    assert len(lines) == 78
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == Q_SCAN_SHA256
 
 
 # frozen apart from how the Q scan ends: the 78 F2 lines of
@@ -528,40 +527,80 @@ def test_q_tables_frozen():
 
 def test_shared_geometry_changes_nothing():
     # one diagram's scans share their gluing geometry across fields; in either
-    # order each field gives the table and counters of a scan of its own
-    zoo = [kn_template(n) for n in (*range(-3, 4), 28, -28, 100)]
-    corpus = zoo + random_braid_corpus() + EULER_CORPUS
+    # order each field gives the table and counters of a scan of its own, except
+    # that F2 after Q reads the integral scan and runs none, so it has no counters
+    corpus = _scan_corpus()
     assert len(corpus) == 78
     for d in corpus:
-        shift = d.n_plus - 2 * d.n_minus
         fresh = {}
         for field in (RATIONAL, F2):
-            raw, stats = scan_homology(
+            counts, blocks, stats = scan_homology(
                 d.crossings, d.crossing_order(), d.loops, field == F2, KH_BUDGET, GluingGeometry()
             )
-            dims = {(q + shift, r - d.n_minus): dim for (q, r), dim in raw.items()}
+            raw = khovanov._over_z(counts, blocks)[0]
+            dims = {(q + d.n_plus - 2 * d.n_minus, r - d.n_minus): n for (q, r), n in raw.items()}
             fresh[field] = BigradedDims(dims), stats
         for order in ((RATIONAL, F2), (F2, RATIONAL)):
             shared = PlanarDiagram(d.crossings, loops=d.loops)
             for field in order:
                 r = kh_homology(shared, field)
-                assert (r.dims, r.stats) == fresh[field], (d.serialize(), order, field)
+                want = fresh[field] if order[0] == F2 or field == RATIONAL else (fresh[F2][0], None)
+                assert (r.dims, r.stats) == want, (d.serialize(), order, field)
+
+
+def test_f2_from_the_integral_scan_equals_the_f2_scan():
+    # universal coefficients on the integral scan's leftover against the scan
+    # mod 2, on fresh copies of the corpus; F2 only gains on Q, by torsion
+    for d in _scan_corpus():
+        alone = kh_homology(PlanarDiagram(d.crossings, loops=d.loops), F2)
+        both = PlanarDiagram(d.crossings, loops=d.loops)
+        rational = kh_homology(both, RATIONAL)
+        read = kh_homology(both, F2)
+        assert alone.stats is not None and read.stats is None, d.serialize()
+        assert read == alone, d.serialize()
+        assert all(alone.dims[key] >= rank for key, rank in rational.dims), d.serialize()
+
+
+def test_torsion_is_one_z2_per_trefoil_and_24_per_kn():
+    # Shumakovitch (arXiv:math/0405474): a thin knot's torsion is all Z/2, in
+    # (rank over Q - 2) / 2 copies: one for the trefoil (rank 4), 24 for K_n (50)
+    assert khovanov._kh_integral(trefoil(True)).torsion == {(7, 3): (2,)}
+    assert khovanov._kh_integral(trefoil(False)).torsion == {(-7, -2): (2,)}
+    for n in (*range(-3, 4), 28, -28):
+        torsion = khovanov._kh_integral(kn_template(n)).torsion
+        factors = [f for group in torsion.values() for f in group]
+        assert factors == [2] * 24, (n, torsion)
+
+
+def test_blocks_that_do_not_compose_to_zero_raise():
+    one = IntegerMatrix([[1]])
+    counts = {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+    with pytest.raises(InvariantError, match="compose to zero"):
+        khovanov._over_z(counts, {(0, 0): IntegerMatrix([[2]]), (0, 1): one})
+    free, mod2, torsion = khovanov._over_z(counts, {(0, 0): IntegerMatrix([[2]])})
+    assert free == {(0, 0): 0, (0, 1): 0, (0, 2): 1}
+    assert mod2 == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+    assert torsion == {(0, 1): (2,)}
 
 
 def test_scans_do_not_depend_on_the_crossing_order():
-    # every order glues the same closed tangle: both fields' tables and the
-    # bracket stay, while the ScanStats counters may move; the bracket is
-    # compared as a polynomial, since the raw dict can keep a zero coefficient
-    # in some orders
+    # every order glues the same closed tangle: both fields' homology, the
+    # torsion and the bracket stay, while the leftover complex and the
+    # ScanStats counters may move; the bracket is compared as a polynomial,
+    # since the raw dict can keep a zero coefficient in some orders
     rng = random.Random(16)
+
+    def homology(d, order, char2):
+        counts, blocks, _ = scan_homology(d.crossings, order, d.loops, char2, KH_BUDGET, GluingGeometry())
+        return khovanov._over_z(counts, blocks)
+
     for d in EULER_CORPUS:
         order = d.crossing_order()
         shuffles = [rng.sample(order, len(order)) for _ in range(2)]
         for char2 in (False, True):
-            dims, _ = scan_homology(d.crossings, order, d.loops, char2, KH_BUDGET, GluingGeometry())
+            tables = homology(d, order, char2)
             for shuffled in shuffles:
-                again, _ = scan_homology(d.crossings, shuffled, d.loops, char2, KH_BUDGET, GluingGeometry())
-                assert again == dims, (d.name, char2, shuffled)
+                assert homology(d, shuffled, char2) == tables, (d.name, char2, shuffled)
         bracket = LaurentPolynomial(polynomials._bracket_scan(d.crossings, order))
         for shuffled in shuffles:
             again = LaurentPolynomial(polynomials._bracket_scan(d.crossings, shuffled))
@@ -577,13 +616,13 @@ def test_two_fields_of_one_diagram_share_plans(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(bar_natan._Plan, "__init__", counting)
-    for field in (RATIONAL, F2):
+    # F2 first, so that Q runs a scan of its own and does not read F2's
+    for field in (F2, RATIONAL):
         kh_homology(kn_template(3), field)
     apart = len(built)
     built.clear()
     d = kn_template(3)
-    for field in (RATIONAL, F2):
-        kh_homology(d, field)
+    assert all(kh_homology(d, field).stats is not None for field in (F2, RATIONAL))
     assert len(built) < apart
 
 
