@@ -52,9 +52,9 @@ the labels only through its shape: the old boundary's size, the slots
 identified with it or with each other, and the order of the points left
 open.  The glued matchings, the plans of the glued and of the composed
 surfaces, and the dot sets their neck cutting gives are integers fixed by
-the shape and the matchings, with no coefficient in them.  So one
-``GluingGeometry`` keeps them for every crossing of the same shape, such as
-each rung of a twist ladder, and for the scans over both fields.
+the shape and the matchings, with no coefficient in them.  So a scan
+keeps them for every later crossing of the same shape, such as each rung
+of a twist ladder, and drops them when it ends.
 
 The object count is the scan's cost.  Each crossing projects the count it
 is about to build, 2^(closed circles) per old object and smoothing, and a
@@ -69,7 +69,7 @@ from itertools import product
 from .algebra import IntegerMatrix
 from .diagram import BudgetError, InvariantError, find
 
-__all__ = ["GluingGeometry", "ScanStats", "scan_homology"]
+__all__ = ["ScanStats", "scan_homology"]
 
 # partner slot of every slot in the 0- and the 1-smoothing of a crossing
 _SMOOTHINGS = ((1, 0, 3, 2), (3, 2, 1, 0))
@@ -197,8 +197,8 @@ class _Shape:
     slots; ``ident`` pairs the nodes that the gluing identifies and ``free``
     lists the nodes left open, in the order of their labels, so that the
     k-th one is point k of the new boundary.  Matchings index boundary
-    positions, never labels, so every crossing glued in this shape, in
-    either field, shares the glued matchings and the surface plans.
+    positions, never labels, so every crossing of one scan glued in this
+    shape shares the glued matchings and the surface plans.
     """
 
     __slots__ = ("n", "ident", "free", "new_pos", "gluings", "glued", "hplans")
@@ -280,71 +280,22 @@ class _Shape:
         return plan
 
 
-class GluingGeometry:
-    """Every surface a diagram's scans glue, kept across crossings and fields.
-
-    ``shapes`` maps a crossing shape (``ident``, ``free``) to its ``_Shape``;
-    ``vplans`` maps matchings (m1, m2, m3) to the plan that composes
-    m1 -> m2 with m2 -> m3.  Nothing here depends on the coefficients.
-    """
-
-    __slots__ = ("shapes", "vplans")
-
-    def __init__(self):
-        self.shapes: dict[tuple, _Shape] = {}
-        self.vplans: dict[tuple, _Plan] = {}
-
-    def shape(self, boundary: list[int], x: tuple[int, int, int, int]) -> tuple[_Shape, list[int]]:
-        """The shape of gluing crossing ``x`` to ``boundary``, and the new boundary."""
-        n = len(boundary)
-        pos = {a: i for i, a in enumerate(boundary)}
-        ident = [-1] * (n + 4)
-        for i, a in enumerate(x):
-            p = pos.get(a)
-            if p is not None:
-                ident[p], ident[n + i] = n + i, p
-            for j in range(i + 1, 4):
-                if x[j] == a:
-                    ident[n + i], ident[n + j] = n + j, n + i
-        label = boundary + list(x)
-        free = tuple(sorted((v for v in range(n + 4) if ident[v] < 0), key=label.__getitem__))
-        key = (tuple(ident), free)
-        shape = self.shapes.get(key)
-        if shape is None:
-            shape = self.shapes[key] = _Shape(*key)
-        return shape, [label[v] for v in free]
-
-    def vplan(self, m1: tuple, m2: tuple, m3: tuple) -> _Plan:
-        """Plan of the composite m1 -> m2 -> m3."""
-        key = (m1, m2, m3)
-        plan = self.vplans.get(key)
-        if plan is None:
-            cyc_a, k_a = _cycles(m1, m2)
-            cyc_b, k_b = _cycles(m2, m3)
-            cyc_r, k_r = _cycles(m1, m3)
-            plan = self.vplans[key] = _Plan(
-                k_a, k_b,
-                [(cyc_a[p], k_a + cyc_b[p]) for p in range(len(m2)) if p < m2[p]],
-                [(cyc_r[p], cyc_a[p]) for p in range(len(m1))],
-                k_r, (), (),
-            )
-        return plan
-
-
 class _Scan:
     """The complex of the partial tangle, grown one crossing at a time.
 
     ``n_crossings`` is how many crossings the whole scan will add; a refusal
     names its crossing as "k of n_crossings", so it says how far the scan got.
-    Surfaces come from ``geometry``, which the scans of one diagram share.
+    ``shapes`` maps a crossing shape (``ident``, ``free``) to its ``_Shape``;
+    ``vplans`` maps matchings (m1, m2, m3) to the plan that composes
+    m1 -> m2 with m2 -> m3.  Neither depends on the coefficients.
     """
 
-    def __init__(self, loops: int, char2: bool, bound: int, n_crossings: int,
-                 geometry: GluingGeometry):
+    def __init__(self, loops: int, char2: bool, bound: int, n_crossings: int):
         self.char2 = char2
         self.bound = bound
         self.n_crossings = n_crossings
-        self.geometry = geometry
+        self.shapes: dict[tuple, _Shape] = {}
+        self.vplans: dict[tuple, _Plan] = {}
         self.boundary: list[int] = []
         self.objs: dict[int, tuple[tuple, int, int]] = {}
         self.out: dict[int, dict[int, dict]] = {}
@@ -378,8 +329,28 @@ class _Scan:
 
     # -- adding one crossing ------------------------------------------------
 
+    def _shape(self, x: tuple[int, int, int, int]) -> tuple[_Shape, list[int]]:
+        """The shape of gluing crossing ``x`` to the boundary, and the new boundary."""
+        n = len(self.boundary)
+        pos = {a: i for i, a in enumerate(self.boundary)}
+        ident = [-1] * (n + 4)
+        for i, a in enumerate(x):
+            p = pos.get(a)
+            if p is not None:
+                ident[p], ident[n + i] = n + i, p
+            for j in range(i + 1, 4):
+                if x[j] == a:
+                    ident[n + i], ident[n + j] = n + j, n + i
+        label = self.boundary + list(x)
+        free = tuple(sorted((v for v in range(n + 4) if ident[v] < 0), key=label.__getitem__))
+        key = (tuple(ident), free)
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = self.shapes[key] = _Shape(*key)
+        return shape, [label[v] for v in free]
+
     def add_crossing(self, x: tuple[int, int, int, int]) -> None:
-        shape, boundary = self.geometry.shape(self.boundary, x)
+        shape, boundary = self._shape(x)
         glue, hplan = shape.glue, shape.hplan
 
         # new objects: every old object times both smoothings, delooped
@@ -450,10 +421,26 @@ class _Scan:
 
     # -- Gaussian elimination -----------------------------------------------
 
+    def _vplan(self, m1: tuple, m2: tuple, m3: tuple) -> _Plan:
+        """Plan of the composite m1 -> m2 -> m3."""
+        key = (m1, m2, m3)
+        plan = self.vplans.get(key)
+        if plan is None:
+            cyc_a, k_a = _cycles(m1, m2)
+            cyc_b, k_b = _cycles(m2, m3)
+            cyc_r, k_r = _cycles(m1, m3)
+            plan = self.vplans[key] = _Plan(
+                k_a, k_b,
+                [(cyc_a[p], k_a + cyc_b[p]) for p in range(len(m2)) if p < m2[p]],
+                [(cyc_r[p], cyc_a[p]) for p in range(len(m1))],
+                k_r, (), (),
+            )
+        return plan
+
     def _compose(self, f: dict, g: dict, m1: tuple, m2: tuple, m3: tuple) -> dict:
         """g after f, for f: m1 -> m2 and g: m2 -> m3."""
         self.counts["compositions"] += 1
-        plan = self.geometry.vplan(m1, m2, m3)
+        plan = self._vplan(m1, m2, m3)
         acc: dict[int, int] = {}
         for a, v in f.items():
             for b, w in g.items():
@@ -547,8 +534,7 @@ class _Scan:
         return {key: len(ids) for key, ids in at.items()}, blocks
 
 
-def scan_homology(crossings, order, loops: int, char2: bool, bound: int,
-                  geometry: GluingGeometry):
+def scan_homology(crossings, order, loops: int, char2: bool, bound: int):
     """The complex a PD code's Khovanov complex reduces to, before the global shifts.
 
     Returns ``({(q, r): objects}, {(q, r): block}, ScanStats)`` with
@@ -558,9 +544,9 @@ def scan_homology(crossings, order, loops: int, char2: bool, bound: int,
     ``_Scan.result``).  Over F2 no block is left, so the counts are the
     homology.  Crossings are glued in ``order``, a diagram's
     ``crossing_order()``; a crossing that would make more than ``bound``
-    objects raises ``BudgetError``.  Scans of one diagram share ``geometry``.
+    objects raises ``BudgetError``.
     """
-    scan = _Scan(loops, char2, bound, len(crossings), geometry)
+    scan = _Scan(loops, char2, bound, len(crossings))
     for i in order:
         scan.add_crossing(tuple(crossings[i]))
     counts, blocks = scan.result()

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import BigradedDims, IntegerMatrix, smith_normal_form
-from .bar_natan import GluingGeometry, ScanStats, scan_homology
+from .bar_natan import ScanStats, scan_homology
 from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, resolve_crossing
 
 __all__ = [
@@ -190,15 +190,6 @@ class ResolutionCube:
         self._ecache[key] = rec
         return rec
 
-    def edge_data(self, v: int, i: int):
-        """Public (kind, source circles, target circles) for one cube edge."""
-        if v >> i & 1:
-            raise ValueError("edge goes from a 0-smoothing to a 1-smoothing")
-        _, is_split, A, B, C, _ = self._edge(v, i)
-        if is_split:
-            return ("split", (A,), (B, C))
-        return ("merge", (A, B), (C,))
-
 
 def build_cube(d: PlanarDiagram, budget: int = CUBE_BUDGET) -> ResolutionCube:
     """Smooth every crossing in all 2^c ways; refuse above ``budget``."""
@@ -309,18 +300,8 @@ def kh_homology(d: PlanarDiagram, field: str = RATIONAL) -> KhResult:
     return _kh_f2(d)
 
 
-_held: list = [None, None]  # the diagram scanned last and its gluing surfaces
-
-
-def _geometry(d: PlanarDiagram) -> GluingGeometry:
-    """The surfaces the scans of ``d`` over Z and F2 share, kept for the last ``d`` only."""
-    if _held[0] is not d:
-        _held[:] = d, GluingGeometry()
-    return _held[1]
-
-
 def _scan(d: PlanarDiagram, char2: bool):
-    return scan_homology(d.crossings, d.crossing_order(), d.loops, char2, KH_BUDGET, _geometry(d))
+    return scan_homology(d.crossings, d.crossing_order(), d.loops, char2, KH_BUDGET)
 
 
 def _shifted(d: PlanarDiagram, raw: dict) -> dict:

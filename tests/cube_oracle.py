@@ -4,6 +4,7 @@ Every q-slice of the cube complex is assembled by ``symknot.khovanov``'s
 slice builders and reduced here, by chain-level Gaussian elimination over Q
 and bit-packed row reduction over F2.  The cost grows about 3x per crossing,
 so it is only used to check the scanning engine on small diagrams.
+``edge_data`` names what one edge of the cube does to its circles.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ from fractions import Fraction
 
 from symknot.algebra import BigradedDims
 from symknot.khovanov import F2, _field_tag, _slice_levels, _slice_matrices, build_cube
+
+
+def edge_data(cube, v: int, i: int):
+    """(kind, source circles, target circles) of the cube edge v -> v | 1 << i."""
+    if v >> i & 1:
+        raise ValueError("edge goes from a 0-smoothing to a 1-smoothing")
+    _, is_split, A, B, C, _ = cube._edge(v, i)
+    if is_split:
+        return ("split", (A,), (B, C))
+    return ("merge", (A, B), (C,))
 
 
 def _rank_f2(n_cols: int, cols: dict[int, dict[int, int]]) -> int:

@@ -313,7 +313,7 @@ def test_verify_paper_bad_flags(capsys):
 
 
 def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
-    # one call per scan: (crossings, order, loops, over F2, budget, geometry)
+    # one call per scan: (crossings, order, loops, over F2, budget)
     calls = count_calls(monkeypatch, khovanov, "scan_homology")
     argv = ["verify-paper", "--only", "kh52,kh,khf2,identify,ccc,skein,euler,mirror", "--n-range", "-3..3"]
     assert main(argv) == EXIT_OK
@@ -323,7 +323,7 @@ def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
     # corpus diagrams (5_2 and 10_22 among them) add 13 past K_0 and K_+-1,
     # and their mirrors 10 past the 6 the corpus holds
     assert len(calls) == len(set(calls)) == 7 + 1 + 13 + 10
-    assert not any(char2 for _, _, _, char2, _, _ in calls)
+    assert not any(char2 for _, _, _, char2, _ in calls)
 
 
 def test_invariants_runs_each_stage_once(capsys, monkeypatch):

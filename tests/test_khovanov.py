@@ -5,11 +5,11 @@ import tracemalloc
 from dataclasses import astuple
 
 import pytest
-from cube_oracle import cube_homology
+from cube_oracle import cube_homology, edge_data
 
 from symknot import bar_natan, khovanov, polynomials
 from symknot.algebra import BigradedDims, IntegerMatrix, LaurentPolynomial
-from symknot.bar_natan import GluingGeometry, scan_homology
+from symknot.bar_natan import scan_homology
 from symknot.diagram import (
     BudgetError,
     InvariantError,
@@ -105,9 +105,9 @@ def test_cube_edges_merge_or_split():
             for i in range(cube.n):
                 if v >> i & 1:
                     with pytest.raises(ValueError):
-                        cube.edge_data(v, i)
+                        edge_data(cube, v, i)
                     continue
-                kind, src, dst = cube.edge_data(v, i)
+                kind, src, dst = edge_data(cube, v, i)
                 v2 = v | 1 << i
                 if kind == "merge":
                     assert cube.circle_count(v2) == cube.circle_count(v) - 1
@@ -127,7 +127,7 @@ def test_cube_k1_has_2048_vertices():
     for v in range(cube.n_vertices):
         for i in range(cube.n):
             if not v >> i & 1:
-                kind, _, _ = cube.edge_data(v, i)
+                kind, _, _ = edge_data(cube, v, i)
                 merges += kind == "merge"
                 splits += kind == "split"
     assert merges + splits == 11 * 1024
@@ -490,7 +490,7 @@ def test_scan_tables_and_counters_frozen():
     lines = []
     for d in _scan_corpus():
         counts, blocks, stats = scan_homology(
-            d.crossings, d.crossing_order(), d.loops, False, KH_BUDGET, GluingGeometry()
+            d.crossings, d.crossing_order(), d.loops, False, KH_BUDGET
         )
         leftover = sorted((key, block.to_lists()) for key, block in blocks.items())
         lines.append(f"{d.serialize()}|{sorted(counts.items())}|{leftover}|{astuple(stats)}")
@@ -509,7 +509,7 @@ def test_f2_scan_lines_frozen():
     for d in _scan_corpus():
         # the scan's table comes first and its counters last
         dims, *_, stats = scan_homology(
-            d.crossings, d.crossing_order(), d.loops, True, KH_BUDGET, GluingGeometry()
+            d.crossings, d.crossing_order(), d.loops, True, KH_BUDGET
         )
         lines.append(f"{d.serialize()}|True|{sorted(dims.items())}|{astuple(stats)}")
     assert len(lines) == 78
@@ -526,16 +526,16 @@ def test_q_tables_frozen():
 
 
 def test_shared_geometry_changes_nothing():
-    # one diagram's scans share their gluing geometry across fields; in either
-    # order each field gives the table and counters of a scan of its own, except
-    # that F2 after Q reads the integral scan and runs none, so it has no counters
+    # asking one diagram for both fields, in either order, each field gives the
+    # table and counters of a scan of its own, except that F2 after Q reads the
+    # integral scan and runs none, so it has no counters
     corpus = _scan_corpus()
     assert len(corpus) == 78
     for d in corpus:
         fresh = {}
         for field in (RATIONAL, F2):
             counts, blocks, stats = scan_homology(
-                d.crossings, d.crossing_order(), d.loops, field == F2, KH_BUDGET, GluingGeometry()
+                d.crossings, d.crossing_order(), d.loops, field == F2, KH_BUDGET
             )
             raw = khovanov._over_z(counts, blocks)[0]
             dims = {(q + d.n_plus - 2 * d.n_minus, r - d.n_minus): n for (q, r), n in raw.items()}
@@ -591,7 +591,7 @@ def test_scans_do_not_depend_on_the_crossing_order():
     rng = random.Random(16)
 
     def homology(d, order, char2):
-        counts, blocks, _ = scan_homology(d.crossings, order, d.loops, char2, KH_BUDGET, GluingGeometry())
+        counts, blocks, _ = scan_homology(d.crossings, order, d.loops, char2, KH_BUDGET)
         return khovanov._over_z(counts, blocks)
 
     for d in EULER_CORPUS:
@@ -607,29 +607,27 @@ def test_scans_do_not_depend_on_the_crossing_order():
             assert again == bracket, (d.name, shuffled)
 
 
-def test_two_fields_of_one_diagram_share_plans(monkeypatch):
-    built = []
-    init = bar_natan._Plan.__init__
-
-    def counting(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    monkeypatch.setattr(bar_natan._Plan, "__init__", counting)
-    # F2 first, so that Q runs a scan of its own and does not read F2's
-    for field in (F2, RATIONAL):
-        kh_homology(kn_template(3), field)
-    apart = len(built)
-    built.clear()
-    d = kn_template(3)
-    assert all(kh_homology(d, field).stats is not None for field in (F2, RATIONAL))
-    assert len(built) < apart
+def _surfaces(d, char2):
+    """The plans a scan of ``d`` glues, per crossing shape, and the plans it composes."""
+    scan = bar_natan._Scan(d.loops, char2, KH_BUDGET, d.n_crossings)
+    for i in d.crossing_order():
+        scan.add_crossing(tuple(d.crossings[i]))
+    return {key: set(shape.hplans) for key, shape in scan.shapes.items()}, set(scan.vplans)
 
 
 def test_geometry_stays_bounded_in_n():
-    # K_n adds twist crossings of shapes already met, so its geometry, and the
-    # memory the scan keeps on the diagram, do not grow with n
+    # K_n adds twist crossings of shapes already met, so a scan's surfaces do
+    # not grow with n: 14 shapes, 231 crossing plans and 32 composition plans,
+    # the same ones for every n of one sign and in both fields
     held = {}
+    for n in (4, 30, -30, 100, -100):
+        for char2 in (False, True):
+            shapes, vplans = held[n, char2] = _surfaces(kn_template(n), char2)
+            assert len(shapes) == 14, (n, char2)
+            assert sum(map(len, shapes.values())) == 231 and len(vplans) == 32, (n, char2)
+    for (n, char2), surfaces in held.items():
+        assert surfaces == held[30 if n > 0 else -30, False], (n, char2)
+    # nor does the memory that stays on the diagram once its result is memoised
     for n in (28, 100):
         d = kn_template(n)
         d.signs(), d.n_components()
@@ -643,23 +641,18 @@ def test_geometry_stays_bounded_in_n():
         finally:
             tracemalloc.stop()
         assert kept <= 500_000, (n, kept)
-        geometry = khovanov._geometry(d)
-        held[n] = (
-            {key: set(shape.hplans) for key, shape in geometry.shapes.items()},
-            set(geometry.vplans),
-        )
-    assert held[28] == held[100]
 
 
-def test_held_diagrams_keep_at_most_one_geometry():
-    # only the diagram scanned last keeps its glued surfaces, so a run that
-    # holds every diagram it scans holds one geometry, not one per diagram
+def test_held_diagrams_keep_no_surfaces():
+    # a scan's glued surfaces end with it, so a run that holds every diagram
+    # it scans, in both fields, holds none of them
     held = [kn_template(n) for n in range(-10, 11)]
     for d in held:
+        kh_homology(d, F2)
         kh_homology(d, RATIONAL)
     gc.collect()
-    kept = [obj for obj in gc.get_objects() if isinstance(obj, bar_natan.GluingGeometry)]
-    assert len(kept) <= 1, len(kept)
+    kept = [obj for obj in gc.get_objects() if isinstance(obj, (bar_natan._Shape, bar_natan._Plan))]
+    assert not kept, len(kept)
 
 
 def test_scan_order_keeps_kn_boundary_at_six():
@@ -715,13 +708,13 @@ def test_neck_cutting_rules():
 def test_open_boundary_after_last_crossing_raises():
     # an edge label seen once is a corrupted PD code: the tangle never closes
     with pytest.raises(InvariantError, match="boundary"):
-        scan_homology([(1, 2, 3, 4)], [0], 0, True, KH_BUDGET, GluingGeometry())
+        scan_homology([(1, 2, 3, 4)], [0], 0, True, KH_BUDGET)
 
 
 def test_glued_entry_of_wrong_degree_raises():
     # the unknot's two delooped summands, q = +1 and q = -1, joined by a
     # scalar: that map has degree 0, not the 2 its shifts imply
-    scan = bar_natan._Scan(1, False, KH_BUDGET, 1, GluingGeometry())
+    scan = bar_natan._Scan(1, False, KH_BUDGET, 1)
     top, bottom = scan.objs
     scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
     with pytest.raises(InvariantError, match="degree"):
