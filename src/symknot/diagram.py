@@ -32,8 +32,6 @@ __all__ = [
     "PlanarDiagram",
     "TangleSite",
     "parse_pd",
-    "scan_order",
-    "scan_width",
     "mirror",
     "connected_sum",
     "resolve_crossing",
@@ -78,24 +76,23 @@ class InvariantError(RuntimeError):
 
 
 def memoized(fn):
-    """Run the stage ``fn(d, *args)`` once per diagram.
+    """Run the stage ``fn(d)`` once per diagram.
 
-    The value is kept in ``d``'s cache under ``(fn, *args)``, so a second
-    call returns the same object.  A call that raises stores nothing: a
-    refused or failed stage runs again when it is asked for again.
-    ``stage.held(d, *args)`` returns the kept value without running the
-    stage, or None when there is none.
+    The value is kept in ``d``'s cache under ``fn``, so a second call
+    returns the same object.  A call that raises stores nothing: a refused
+    or failed stage runs again when it is asked for again.
+    ``stage.held(d)`` returns the kept value without running the stage, or
+    None when there is none.
     """
 
     @functools.wraps(fn)
-    def stage(d, *args):
-        key = (fn, *args)
-        if key not in d._cache:
-            d._cache[key] = fn(d, *args)
-        return d._cache[key]
+    def stage(d):
+        if fn not in d._cache:
+            d._cache[fn] = fn(d)
+        return d._cache[fn]
 
-    def held(d, *args):
-        return d._cache.get((fn, *args))
+    def held(d):
+        return d._cache.get(fn)
 
     stage.held = held
     return stage
@@ -153,14 +150,6 @@ def _walk_strands(
     return inbound, walks
 
 
-def _pieces(crossings: Sequence[Sequence[int]]) -> int:
-    """Number of connected pieces of the 4-valent projection of ``crossings``."""
-    parent = list(range(len(crossings)))
-    for p, q in enumerate(_edge_ends(crossings)):
-        parent[find(parent, p // 4)] = find(parent, q // 4)
-    return len({find(parent, i) for i in range(len(crossings))})
-
-
 _TOKEN = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$|O$")
 
 IN = 1
@@ -190,7 +179,7 @@ class PlanarDiagram:
         self.loops = int(loops)
         self.name = name
         self._validate_arcs()
-        self._cache: dict[tuple, object] = {}
+        self._cache: dict = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -282,7 +271,10 @@ class PlanarDiagram:
     @memoized
     def _n_pieces(self) -> int:
         """Connected pieces of the crossings' 4-valent projection, loops left out."""
-        return _pieces(self.crossings)
+        parent = list(range(len(self.crossings)))
+        for p, q in enumerate(_edge_ends(self.crossings)):
+            parent[find(parent, p // 4)] = find(parent, q // 4)
+        return len({find(parent, i) for i in range(len(self.crossings))})
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying 4-valent projection, loops included."""
@@ -329,8 +321,22 @@ class PlanarDiagram:
 
     @memoized
     def crossing_order(self) -> tuple[int, ...]:
-        """The order in which both scanning engines glue the crossings: ``scan_order``'s."""
-        return tuple(scan_order(self.crossings))
+        """The order in which both scanning engines glue the crossings: ``_scan_order``'s."""
+        return tuple(_scan_order(self.crossings))
+
+    def scan_width(self) -> int:
+        """Most boundary points open at once while gluing in ``crossing_order()``.
+
+        Labels open and close one at a time, so a kink's label, held twice by
+        one crossing, opens and closes within it.
+        """
+        open_: set[int] = set()
+        widest = 0
+        for i in self.crossing_order():
+            for a in self.crossings[i]:
+                open_ ^= {a}
+            widest = max(widest, len(open_))
+        return widest
 
     # -- serialization -----------------------------------------------------
 
@@ -394,7 +400,7 @@ def parse_pd(text: str, name: str | None = None) -> PlanarDiagram:
 # -- crossing scans -----------------------------------------------------------
 
 
-def scan_order(crossings) -> list[int]:
+def _scan_order(crossings) -> list[int]:
     """Crossing indices, each next one sharing the most open boundary points.
 
     Ties go to the lowest index.  The crossings glued so far form a tangle
@@ -423,20 +429,6 @@ def scan_order(crossings) -> list[int]:
                     shared[j] += 1 if a in open_ else -1
                     heapq.heappush(heap, (-shared[j], j))
     return order
-
-
-def scan_width(crossings, order) -> int:
-    """Most boundary points open at once while ``crossings`` are glued in ``order``."""
-    open_: set[int] = set()
-    widest = 0
-    for i in order:
-        for a in crossings[i]:
-            if a in open_:
-                open_.remove(a)
-            else:
-                open_.add(a)
-        widest = max(widest, len(open_))
-    return widest
 
 
 # -- elementary operations --------------------------------------------------

@@ -31,7 +31,7 @@ divides that unknot factor out.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial, eliminate_pivots
-from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, scan_width
+from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized
 
 __all__ = [
     "BRACKET_BUDGET",
@@ -120,8 +120,7 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     """
     if not d.crossings and d.loops == 0:
         raise ValueError("empty diagram has no bracket in the unknot-normalized convention")
-    order = d.crossing_order()
-    width = scan_width(d.crossings, order)
+    width = d.scan_width()
     if width > BRACKET_BUDGET:
         raise BudgetError(
             f"bracket scan needs a boundary of {width} points, past the "
@@ -129,8 +128,8 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
             needed=width,
             budget=BRACKET_BUDGET,
         )
-    unnormalized = LaurentPolynomial(_bracket_scan(d.crossings, order)) * _DELTA**d.loops
-    return unnormalized.exact_div(_DELTA)
+    unnormalized = LaurentPolynomial(_bracket_scan(d.crossings, d.crossing_order()))
+    return (unnormalized * _DELTA**d.loops).exact_div(_DELTA)
 
 
 def _writhe_normalized_bracket(d: PlanarDiagram) -> LaurentPolynomial:

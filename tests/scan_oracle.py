@@ -3,7 +3,7 @@
 At each step every remaining crossing's open boundary points are counted
 afresh, and the one sharing the most is glued next, ties going to the
 lowest index.  That is O(c^2) for c crossings; ``symknot.diagram``'s
-``scan_order`` keeps the counts in a heap instead and must give the same
+``_scan_order`` keeps the counts in a heap instead and must give the same
 order.
 """
 

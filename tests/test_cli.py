@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 from test_khovanov import count_calls, record_complex_sizes
 
-from symknot import diagram, goeritz, khovanov, polynomials
-from symknot.cli import CRITERIA, EXIT_BUDGET, EXIT_OK, EXIT_PARSE, SCHEMA, main
+from symknot import cli, diagram, goeritz, khovanov, polynomials
+from symknot.cli import CRITERIA, EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, SCHEMA, main
 from symknot.diagram import DiagramStructureError, PdError, PlanarDiagram, parse_pd
 from symknot.fixtures import kn_template
 from symknot.goeritz import determinant_goeritz, h1_branched_cover
@@ -304,12 +304,28 @@ def test_verify_paper_bad_flags(capsys):
         main(["verify-paper", "--only", "h1", "--n-range", "3..-3"])
     assert err.value.code == EXIT_PARSE
     capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["verify-paper", "--only", "h1", "--n-range", "a..b"])
+    assert err.value.code == EXIT_PARSE
+    assert "wants integers" in capsys.readouterr().err
     # a selection that names no criterion checks nothing, so it is refused
     for only in (",", ""):
         with pytest.raises(SystemExit) as err:
             main(["verify-paper", "--only", only])
         assert err.value.code == EXIT_PARSE, only
         capsys.readouterr()
+
+
+def test_verify_paper_prints_a_failing_row(capsys, monkeypatch):
+    # a Goeritz determinant off by one fails the det row, which then says what
+    # it expected and what it got, and the run exits 1
+    monkeypatch.setattr(cli, "determinant_goeritz", lambda d: 48)
+    assert main(["verify-paper", "--only", "det", "--n-range", "0..0"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert out == (
+        "FAIL det: det(K_0) both channels\n     expected 49\n     got      (48, 49)\n"
+        "0/1 checks passed\n"
+    )
 
 
 def test_verify_paper_computes_each_homology_once(capsys, monkeypatch):
@@ -367,7 +383,7 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
 
 
 def test_each_diagram_chooses_its_scan_order_once(capsys, monkeypatch):
-    orders = count_calls(monkeypatch, diagram, "scan_order")
+    orders = count_calls(monkeypatch, diagram, "_scan_order")
     assert main(["invariants", "--symun", "5_2", "--n", "3"]) == EXIT_OK
     capsys.readouterr()
     # the bracket and the integral scan read one order

@@ -5,10 +5,9 @@ import pytest
 from layout_oracle import LAYOUTS, trial_layout
 from scan_oracle import rescan_order
 from test_fixtures import _random_pd_codes, _rational_corpus
-from test_khovanov import EULER_CORPUS, count_calls, random_braid_corpus
+from test_khovanov import EULER_CORPUS, random_braid_corpus
 from test_properties import _kinked
 
-from symknot import diagram
 from symknot.diagram import (
     IN,
     OUT,
@@ -20,13 +19,13 @@ from symknot.diagram import (
     SymmetricUnion,
     TangleSite,
     _channel_layout,
+    _scan_order,
     assemble_corners,
     connected_sum,
     fusion_resolution,
     mirror,
     parse_pd,
     resolve_crossing,
-    scan_order,
     symmetric_union,
     twist_insert,
 )
@@ -72,6 +71,15 @@ def test_parse_rejects_malformed_terms():
         parse_pd("X[1,2,3,4] X[1,2,3,5]")
 
 
+def test_constructor_refuses_what_the_term_syntax_rules_out():
+    # parse_pd reads four labels per term and no loop count, so these
+    # reach only a caller that builds the diagram directly
+    with pytest.raises(PdSyntaxError, match="exactly 4"):
+        PlanarDiagram([(1, 2, 2)])
+    with pytest.raises(DiagramStructureError, match="negative loop count"):
+        PlanarDiagram([], loops=-1)
+
+
 def test_orientation_and_signs():
     t = trefoil(True)
     assert t.signs() == (1, 1, 1)
@@ -108,13 +116,14 @@ def test_faces_need_connected_projection():
         two_unlink().faces()
 
 
-def test_connectivity_is_checked_once_per_diagram(monkeypatch):
-    # assemble_corners asks is_connected and then faces, which asks it again
-    crossings = trefoil().crossings
-    pieces = count_calls(monkeypatch, diagram, "_pieces")
-    d = PlanarDiagram(crossings)
-    assert d.is_connected() and d.faces() and d.is_connected()
-    assert len(pieces) == 1
+def test_connectivity_is_checked_once_per_diagram():
+    # assemble_corners asks is_connected and then faces, which asks it again:
+    # the piece count is a stage, computed by the first ask and held after
+    d = PlanarDiagram(trefoil().crossings)
+    assert PlanarDiagram._n_pieces.held(d) is None
+    assert d.is_connected()
+    assert PlanarDiagram._n_pieces.held(d) == 1
+    assert d.faces() and d.is_connected()
 
 
 def test_components_and_loops():
@@ -165,6 +174,10 @@ def test_connected_sum_structure():
     assert square.writhe() == 0
     granny.faces()  # planar
     granny.orientation()
+    with pytest.raises(DiagramStructureError, match="no edge 99 in first"):
+        connected_sum(trefoil(True), trefoil(True), 99, 1)
+    with pytest.raises(DiagramStructureError, match="no edge 99 in second"):
+        connected_sum(trefoil(True), trefoil(True), 1, 99)
 
 
 def test_assemble_corners_traces_directions():
@@ -214,6 +227,11 @@ def test_symmetric_union_site_validation():
         symmetric_union(j, TangleSite(1, 1, 1, 1), 1)
     with pytest.raises(DiagramStructureError):
         symmetric_union(j, TangleSite(1, 99, 1, 99), 1)
+    # a site with a twist region, or with two ends that differ, names more
+    # than a band edge and a twist edge
+    for site in (TangleSite(1, 2, 3, 4, (0,)), TangleSite(1, 2, 3, 2)):
+        with pytest.raises(DiagramStructureError, match="nothing else"):
+            symmetric_union(j, site, 1)
     # edge 2 does not border either face along the band cut at edge 1
     with pytest.raises(DiagramStructureError):
         symmetric_union(j, TangleSite(1, 2, 1, 2), 1)
@@ -256,6 +274,14 @@ def test_channel_layout_matches_trial_oracle():
     # 6058 pairs, 1060 of them laid, each of the four layouts over 200 times
     assert all(seen[layout] > 200 for layout in LAYOUTS), seen
     assert sum(seen.values()) > 6000
+
+
+def test_twist_insert_needs_a_trivial_site():
+    # a laid ladder is twisted again by a new channel, not by its own site
+    k = kn_template(2)
+    for site in (k.site, TangleSite(k.site.nw, k.site.ne, k.site.sw, k.site.ne)):
+        with pytest.raises(DiagramStructureError, match="trivial channel site"):
+            twist_insert(k, site, 1)
 
 
 def test_twist_insert_zero_keeps_diagram():
@@ -301,6 +327,19 @@ def test_fusion_resolution_validates_site():
     bad = TangleSite(k.site.nw, k.site.ne, k.site.sw, k.site.se, k.site.interior[:1])
     with pytest.raises(DiagramStructureError):
         fusion_resolution(k, bad)
+    nw, ne, sw, se = k.site.nw, k.site.ne, k.site.sw, k.site.se
+    with pytest.raises(DiagramStructureError, match="four distinct"):
+        TangleSite(nw, ne, sw, nw, k.site.interior)
+    # without an interior the site is a channel: one edge pair, named twice
+    for site in (TangleSite(nw, ne, sw, se), TangleSite(nw, nw, nw, nw)):
+        with pytest.raises(DiagramStructureError, match="two-edge channel"):
+            fusion_resolution(k, site)
+    with pytest.raises(DiagramStructureError, match="out of range"):
+        fusion_resolution(k, TangleSite(nw, ne, sw, se, (k.n_crossings,)))
+    # every crossing inside: the region is closed, but meets each corner twice
+    whole = TangleSite(nw, ne, sw, se, tuple(range(k.n_crossings)))
+    with pytest.raises(DiagramStructureError, match="four corners"):
+        fusion_resolution(k, whole)
 
 
 def test_kn_template_members():
@@ -347,4 +386,4 @@ def test_scan_order_equals_rescan_oracle():
     kinks += [_kinked(d, e, sign) for d in EULER_CORPUS if d.crossings for e in d.arcs for sign in (1, -1)]
     codes += [d.crossings for d in kinks]
     for code in codes:
-        assert scan_order(code) == rescan_order(code), code
+        assert _scan_order(code) == rescan_order(code), code

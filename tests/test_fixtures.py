@@ -58,6 +58,8 @@ def test_corpus_is_valid_knots():
         assert len(d.crossings) == crossings
         assert d.writhe() == writhe
         assert d.n_components() == 1
+    with pytest.raises(ValueError, match="sign"):
+        unknot_kink(0)
 
 
 def test_two_unlink():
@@ -91,6 +93,11 @@ def test_braid_pd_closure():
         braid_pd([0], 2)
     with pytest.raises(ValueError):
         braid_pd([1], 2, [(0, 1)], None)
+    with pytest.raises(ValueError, match="at least 2"):
+        braid_pd([], 1)
+    # position 0 capped to itself, position 1 left open
+    with pytest.raises(ValueError, match="caps must pair"):
+        braid_pd([1], 2, [(0, 0)], [(0, 1)])
 
 
 def test_torus_family():

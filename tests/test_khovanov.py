@@ -16,7 +16,6 @@ from symknot.diagram import (
     PlanarDiagram,
     connected_sum,
     mirror,
-    scan_order,
 )
 from symknot.fixtures import (
     braid_pd,
@@ -377,6 +376,10 @@ def test_reduced_peeling():
     mixed = KhResult(field=F2, dims=BigradedDims({(1, 0): 1, (2, 0): 1}))
     with pytest.raises(ValueError):
         reduced_f2_dims(mixed)
+    # peeling q = 5 away leaves q = 3 owing a class it does not have
+    gap = KhResult(field=F2, dims=BigradedDims({(5, 0): 1, (1, 0): 1}))
+    with pytest.raises(ValueError, match="no nonnegative solution"):
+        reduced_f2_dims(gap)
 
 
 def test_skein_triangle_small():
@@ -525,7 +528,7 @@ def test_q_tables_frozen():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == Q_TABLES_SHA256
 
 
-def test_shared_geometry_changes_nothing():
+def test_either_field_order_gives_each_field_its_own_scan():
     # asking one diagram for both fields, in either order, each field gives the
     # table and counters of a scan of its own, except that F2 after Q reads the
     # integral scan and runs none, so it has no counters
@@ -546,6 +549,17 @@ def test_shared_geometry_changes_nothing():
                 r = kh_homology(shared, field)
                 want = fresh[field] if order[0] == F2 or field == RATIONAL else (fresh[F2][0], None)
                 assert (r.dims, r.stats) == want, (d.serialize(), order, field)
+
+
+def test_scan_width_is_the_scans_widest_boundary():
+    # the bracket's budget and the Khovanov scan's counter measure one
+    # boundary along one order; a kink's label opens and closes in its
+    # crossing.  Fresh copies, so that F2 runs a scan of its own
+    corpus = _scan_corpus()
+    assert len(corpus) == 78
+    for d in corpus:
+        fresh = PlanarDiagram(d.crossings, loops=d.loops)
+        assert fresh.scan_width() == kh_homology(fresh, F2).stats.max_boundary, d.serialize()
 
 
 def test_f2_from_the_integral_scan_equals_the_f2_scan():
@@ -657,12 +671,7 @@ def test_held_diagrams_keep_no_surfaces():
 
 def test_scan_order_keeps_kn_boundary_at_six():
     for n in range(-28, 29):
-        crossings = kn_template(n).crossings
-        open_, widest = set(), 0
-        for i in scan_order(crossings):
-            open_ ^= set(crossings[i])
-            widest = max(widest, len(open_))
-        assert widest <= 6, n
+        assert kn_template(n).scan_width() <= 6, n
 
 
 def test_stats_count_the_scan():
@@ -719,6 +728,24 @@ def test_glued_entry_of_wrong_degree_raises():
     scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
     with pytest.raises(InvariantError, match="degree"):
         scan.add_crossing((1, 2, 3, 4))
+
+
+def test_entry_left_after_the_last_crossing_raises():
+    # over F2 every entry is a unit, so one left is a broken elimination; over
+    # Z one may stay, but only from (q, r) to (q, r + 1), and this one joins
+    # q = +1 to q = -1 at r = 0
+    for char2, message in ((True, "survived"), (False, "leaves")):
+        scan = bar_natan._Scan(1, char2, KH_BUDGET, 0)
+        top, bottom = scan.objs
+        scan.out[top][bottom] = scan.inc[bottom][top] = {0: 1}
+        with pytest.raises(InvariantError, match=message):
+            scan.result()
+
+
+def test_quantum_gradings_off_parity_raise():
+    # a one-component diagram has odd quantum gradings only
+    with pytest.raises(InvariantError, match="parity 1"):
+        khovanov._shifted(unknot_zero(), {(0, 0): 1})
 
 
 if __name__ == "__main__":

@@ -12,10 +12,9 @@ from symknot.diagram import (
     BudgetError,
     InvariantError,
     PlanarDiagram,
+    _scan_order,
     connected_sum,
     mirror,
-    scan_order,
-    scan_width,
 )
 from symknot.fixtures import (
     figure_eight,
@@ -58,7 +57,7 @@ def test_bracket_base_cases():
 def test_bracket_budget(monkeypatch):
     # the budget bounds the widest boundary of the scan, not the crossings
     d = figure_eight()
-    width = scan_width(d.crossings, scan_order(d.crossings))
+    width = d.scan_width()
     monkeypatch.setattr(polynomials, "BRACKET_BUDGET", width - 1)
     with pytest.raises(BudgetError, match=f"{width} points") as exc:
         kauffman_bracket(d)
@@ -68,7 +67,7 @@ def test_bracket_budget(monkeypatch):
     # recursion J(T(2,k)) = q^4 J(T(2,k-2)) + (q - q^3) J(T(2,k-1)) from
     # the unlink and the unknot
     d = torus_2k(25)
-    assert scan_width(d.crossings, scan_order(d.crossings)) == 4
+    assert d.scan_width() == 4
     prev, cur = UNKNOT_JONES * UNKNOT_JONES, UNKNOT_JONES
     for _ in range(2, 26):
         prev, cur = cur, L({4: 1}) * prev + L({1: 1, 3: -1}) * cur
@@ -106,7 +105,13 @@ def test_open_bracket_boundary_raises():
     # an edge label seen once is a corrupted PD code: the boundary never closes
     crossings = [(1, 2, 3, 4), (4, 3, 5, 1)]
     with pytest.raises(InvariantError, match=r"boundary \[2, 5\]"):
-        polynomials._bracket_scan(crossings, scan_order(crossings))
+        polynomials._bracket_scan(crossings, _scan_order(crossings))
+
+
+def test_alexander_determinant_of_odd_breadth_raises():
+    # a knot's Delta has even breadth, so an odd one is a broken minor
+    with pytest.raises(InvariantError, match="odd breadth"):
+        polynomials._normalize_alexander(L({0: 1, 1: 1}))
 
 
 def test_jones_unknots():

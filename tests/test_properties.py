@@ -2,7 +2,7 @@
 
 Three changes that keep the link type are checked on the fixture zoo and
 on the seeded braid corpus: relabelling the edges while shuffling the
-crossing order (which also reorders ``scan_order``), a Reidemeister I
+crossing order (which also reorders ``crossing_order()``), a Reidemeister I
 kink of either sign on an edge, and a Reidemeister II move on a channel.
 """
 
@@ -15,7 +15,6 @@ from symknot.diagram import (
     DiagramStructureError,
     PlanarDiagram,
     TangleSite,
-    scan_order,
     twist_insert,
 )
 from symknot.fixtures import kn_template, knot_10_22, pretzel
@@ -82,7 +81,7 @@ def test_invariants_ignore_labels_and_crossing_order():
     for d in ZOO + random_braid_corpus():
         twin = _relabelled(d, rng)
         assert twin.n_crossings == d.n_crossings
-        reordered += scan_order(twin.crossings) != scan_order(d.crossings)
+        reordered += twin.crossing_order() != d.crossing_order()
         assert _invariants(twin) == _invariants(d), d.serialize()
     assert reordered > 40
 
