@@ -357,6 +357,19 @@ def test_closed_formula_euler_matches_jones():
         assert jones(kn_template(n)) == closed_formula_kn(n).euler_poly(), n
 
 
+# the closed-form tables of K_n for n in -100..100 and n = +-10^6, one
+# "n|sorted (q, u) ranks" line each
+KN_FORMULA_SHA256 = "dcb758f3fbba565968f3db822adae9563c799b973e5eae044611b172bcdf4d54"
+
+
+def test_closed_formula_tables_frozen():
+    lines = [
+        f"{n}|{sorted(closed_formula_kn(n).dims.items())}"
+        for n in (*range(-100, 101), 10**6, -(10**6))
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KN_FORMULA_SHA256
+
+
 def test_k1_equals_10_22():
     assert kh_homology(knot_10_22()).dims == closed_formula_kn(1)
 
