@@ -30,6 +30,9 @@ holds it; asked for first or alone, F2 runs its own scan mod 2, which is
 faster: there an even entry vanishes and an odd one cancels, where over Z
 both stay.  Either way one diagram's F2 result is computed once.
 
+``closed_formula_kn`` reads the table of every K_n off V(K_0) and V(K_1),
+through the Jones skein recurrence and the shape of a thin knot with s = 0.
+
 The cube of resolutions itself stays in this module, outside the
 package's top-level namespace, as an inspection hook: ``build_cube`` and
 ``slice_complex`` give the generators and raw differentials of one
@@ -43,9 +46,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import BigradedDims, IntegerMatrix, smith_normal_form
+from .algebra import BigradedDims, IntegerMatrix, LaurentPolynomial, smith_normal_form
 from .bar_natan import ScanStats, scan_homology
 from .diagram import BudgetError, InvariantError, PlanarDiagram, find, memoized, resolve_crossing
+from .fixtures import kn_template
+from .polynomials import jones
 
 __all__ = [
     "RATIONAL",
@@ -409,36 +414,30 @@ def is_thin(result: KhResult) -> ThinnessReport:
     return ThinnessReport(thin=thin, diagonals=ds)
 
 
-_KH_BLOCK = (
-    (0, 0, 1),
-    (2, 1, 1),
-    (4, 2, 3),
-    (6, 3, 3),
-    (8, 4, 4),
-    (10, 5, 4),
-    (12, 6, 3),
-    (14, 7, 3),
-    (16, 8, 1),
-    (18, 9, 1),
-)
-
-
 def closed_formula_kn(n: int) -> BigradedDims:
-    """Closed-form homology table for the twisted family, any integer n.
+    """Khovanov homology over Q of the twisted family K_n, any integer n.
 
-    For n >= 0: generators at (-1, 0) and (1, 0) plus two rank-24 blocks
-    anchored at (2(n-5) - 1, n-5) and (2(n-4) + 1, n-4).  Negative n is the
-    (q, u) -> (-q, -u) reflection of -n, matching how the mirror acts on
-    homology.  The anchors put the blocks in their intended position for
-    n >= 5; for 0 <= n <= 4 the overlapped table still agrees with the
-    computed homology (checked in the acceptance tests).
+    For n = 2k + r, r in {0, 1}, the Jones skein relation at a twist
+    crossing gives V(K_n) = (q + q^-1) + q^(4k) (V(K_r) - (q + q^-1)).  K_n
+    is thin with s = 0 (it is ribbon), so its table is the Lee pair at
+    (+-1, 0) plus a knight's-move pair (e, u), (e + 4, u + 1), u = (e + 1)/2,
+    of rank (-1)^u a for each term a q^e of (V(K_n) - (q + q^-1)) / (1 - q^4).
+    Raises ``InvariantError`` if that division is inexact or a rank is not positive.
     """
-    if n < 0:
-        return closed_formula_kn(-n).reflect()
-    dims: dict[tuple[int, int], int] = {(-1, 0): 1, (1, 0): 1}
-    for q0, u0 in ((2 * (n - 5) - 1, n - 5), (2 * (n - 4) + 1, n - 4)):
-        for dq, du, rank in _KH_BLOCK:
-            key = (q0 + dq, u0 + du)
+    k, r = divmod(n, 2)
+    unknot = LaurentPolynomial({-1: 1, 1: 1})
+    twisted = (jones(kn_template(r)) - unknot).shift(4 * k)
+    try:
+        pairs = twisted.exact_div(LaurentPolynomial({0: 1, 4: -1}))
+    except ValueError as err:
+        raise InvariantError(f"V(K_{n}) - (q + q^-1) is not divisible by 1 - q^4") from err
+    dims = {(-1, 0): 1, (1, 0): 1}
+    for e, a in pairs:
+        u = (e + 1) // 2
+        rank = -a if u % 2 else a
+        if e % 2 == 0 or rank <= 0:
+            raise InvariantError(f"K_{n} has no knight's-move pair of rank {rank} at q = {e}")
+        for key in ((e, u), (e + 4, u + 1)):
             dims[key] = dims.get(key, 0) + rank
     return BigradedDims(dims)
 

@@ -4,13 +4,14 @@ A knot admits no cosmetic crossing changes once two facts are in hand:
 its branched double cover is a Heegaard Floer L-space, and every cyclic
 summand of the cover's first homology has square-free order.  The
 L-space side is certified through thinness of Khovanov homology with
-F2 coefficients: a computed certificate runs the homology and checks
-the two-diagonal support, while a closed-form certificate applies to
-the twisted template family, whose thinness holds for every twist count
-even when the diagram is too large to process directly.  The homology
-test reads the invariant factors off the Goeritz presentation, whose
-group order is the Goeritz determinant, and cross-checks that order
-against the Alexander determinant |Delta(-1)|.
+F2 coefficients: a computed certificate runs the homology, checks the
+two-diagonal support and that the reduced rank is the determinant, while
+a closed-form certificate applies to the twisted template family, whose
+thinness holds for every twist count even when the diagram is too large
+to process directly.  The homology test reads the invariant factors off
+the Goeritz presentation, whose group order is the Goeritz determinant,
+and cross-checks that order against the Alexander determinant
+|Delta(-1)|.
 
 ``ObstructionVerdict`` holds the certificate, H1 and the evidence; its
 square-free flag and verdict are properties derived from the first two,
@@ -63,11 +64,6 @@ def _mode_tag(mode: str) -> str:
     raise ValueError(f"unknown certificate mode: {mode!r}")
 
 
-def _require_knot(d: PlanarDiagram) -> None:
-    if d.n_components() != 1:
-        raise ValueError(f"obstruction applies to knots, got {d.n_components()} components")
-
-
 @memoized
 def recognize_template(d: PlanarDiagram) -> int | None:
     """The twist count n if ``d`` is literally the n-twisted template, else None.
@@ -87,7 +83,8 @@ def recognize_template(d: PlanarDiagram) -> int | None:
 
 def _certificate(d: PlanarDiagram, mode: str) -> tuple[str, dict]:
     tag = _mode_tag(mode)
-    _require_knot(d)
+    if d.n_components() != 1:
+        raise ValueError(f"obstruction applies to knots, got {d.n_components()} components")
     if tag == FORMULA:
         n = recognize_template(d)
         if n is None:
@@ -104,15 +101,18 @@ def _certificate(d: PlanarDiagram, mode: str) -> tuple[str, dict]:
             "needed": err.needed,
             "budget": err.budget,
         }
-    reduced = reduced_f2_dims(kh)
+    rank = reduced_f2_dims(kh).total_rank()
     report = is_thin(kh)
     details = {
         "certificate_basis": "computed F2 homology",
         "kh_field": F2,
         "diagonals": list(report.diagonals),
-        "reduced_total_rank": reduced.total_rank(),
+        "reduced_total_rank": rank,
     }
     if report:
+        det = determinant_goeritz(d)
+        if rank != det:
+            raise InvariantError(f"thin F2 homology of reduced rank {rank} misses det {det}")
         return COMPUTED_THIN, details
     details["reason"] = f"homology is not thin: diagonals {report.diagonals}"
     return ABSENT, details
@@ -162,7 +162,9 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
     independent channels (the order of H1 from the Goeritz form, and the
     Alexander polynomial at -1); those must agree, otherwise something
     upstream is broken and we raise InvariantError, so no verdict exists
-    for a diagram whose channels disagree.
+    for a diagram whose channels disagree, nor for one whose computed thin
+    F2 table has a reduced rank other than that determinant (thinness
+    implies it).
     Certificate refusals (budget, non-thin homology) surface as an ABSENT
     certificate and an INCONCLUSIVE verdict with the reason in the
     evidence, not as exceptions.  Each stage is
@@ -180,7 +182,9 @@ def ccc_verdict(d: PlanarDiagram, mode: str = COMPUTE) -> ObstructionVerdict:
         "mode": _mode_tag(mode),
         "determinant_goeritz": det_g,
         "determinant_alexander": det_a,
-        "composite_suspected": recognize_template(d) == 0,
+        # tested first so that no member but K_0 builds a second template
+        "composite_suspected": isinstance(d, SymmetricUnion) and d.n == 0
+        and recognize_template(d) == 0,
         **details,
     }
     return ObstructionVerdict(l_space_certificate=cert, h1=h1, evidence=evidence)

@@ -132,13 +132,6 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPolynomial:
     return (unnormalized * _DELTA**d.loops).exact_div(_DELTA)
 
 
-def _writhe_normalized_bracket(d: PlanarDiagram) -> LaurentPolynomial:
-    """(-A^3)^(-w) <D>: invariant of the underlying oriented link."""
-    w = d.writhe()
-    f = kauffman_bracket(d).shift(-3 * w)
-    return -f if w % 2 else f
-
-
 @memoized
 def jones(d: PlanarDiagram) -> LaurentPolynomial:
     """Unnormalized Jones polynomial in q; the unknot maps to q + q^-1.
@@ -146,7 +139,9 @@ def jones(d: PlanarDiagram) -> LaurentPolynomial:
     This convention matches the graded Euler characteristic of the
     homology layer bigrading-for-bigrading.
     """
-    f = _writhe_normalized_bracket(d)
+    # (-A^3)^(-w) <D>, an invariant of the underlying oriented link
+    w = d.writhe()
+    f = kauffman_bracket(d).shift(-3 * w) * (-1) ** (w % 2)
     for e, _ in f:
         if e % 2:
             raise InvariantError(f"bracket exponent {e} is odd; state sum is corrupt")

@@ -164,6 +164,17 @@ def test_jones_twist_recurrence():
         assert lhs == rhs, n
 
 
+def test_jones_twist_recurrence_solved():
+    # the recurrence above solved from K_0 and K_1, the form closed_formula_kn
+    # reads its knight's-move pairs off: for n = 2k + r with r in {0, 1},
+    # V(K_n) = (q + q^-1) + q^(4k) (V(K_r) - (q + q^-1))
+    unknot = LaurentPolynomial({1: 1, -1: 1})
+    base = [jones(kn_template(r)) - unknot for r in (0, 1)]
+    for n in [*range(-60, 61), 1000, -1000, 1001, -1001]:
+        k, r = divmod(n, 2)
+        assert jones(kn_template(n)) == unknot + base[r].shift(4 * k), n
+
+
 def test_unit_pivots_leave_small_cores_on_the_family():
     # every Alexander row holds two units and a twist region's Goeritz rows
     # +-1 entries, so at most 4 rows are left for Bareiss or Smith form,

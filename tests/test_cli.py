@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from test_khovanov import count_calls, record_complex_sizes
 
-from symknot import cli, diagram, goeritz, khovanov, polynomials
+from symknot import cli, diagram, fixtures, goeritz, khovanov, polynomials
 from symknot.cli import CRITERIA, EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, SCHEMA, main
 from symknot.diagram import DiagramStructureError, PdError, PlanarDiagram, parse_pd
 from symknot.fixtures import kn_template
@@ -380,6 +380,18 @@ def test_invariants_runs_each_stage_once(capsys, monkeypatch):
     counts = {name: len(c) for name, c in calls.items()}
     assert all(stage() is held for stage, held in zip(stages, first))
     assert {name: len(c) for name, c in calls.items()} == counts
+
+
+def test_invariants_builds_the_member_once(capsys, monkeypatch):
+    # the report's verdict asks whether K_n is the composite K_0 without
+    # building a second template, except for K_0 itself
+    builds = count_calls(monkeypatch, fixtures, "symmetric_union")
+    for n, want in ((3, 1), (-2, 1), (0, 2)):
+        builds.clear()
+        assert main(["invariants", "--symun", "5_2", "--n", str(n)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert len(builds) == want, n
+        assert report["verdict"]["evidence"]["composite_suspected"] == (n == 0)
 
 
 def test_each_diagram_chooses_its_scan_order_once(capsys, monkeypatch):

@@ -357,6 +357,21 @@ def test_closed_formula_euler_matches_jones():
         assert jones(kn_template(n)) == closed_formula_kn(n).euler_poly(), n
 
 
+def test_closed_formula_refuses_what_no_thin_knot_has(monkeypatch):
+    # W = V(K_r) - (q + q^-1) must be a sum of knight's-move pairs of positive
+    # rank, each (1 - q^4) times -+q^e at an odd e
+    unknot = LaurentPolynomial({-1: 1, 1: 1})
+    step = LaurentPolynomial({0: 1, 4: -1})
+    for w, message in (
+        (LaurentPolynomial({2: 1}), "not divisible"),
+        (-step.shift(-1), "rank -1 at q = -1"),
+        (step, "rank 1 at q = 0"),
+    ):
+        monkeypatch.setattr(khovanov, "jones", lambda d, w=w: unknot + w)
+        with pytest.raises(InvariantError, match=message):
+            closed_formula_kn(1)
+
+
 # the closed-form tables of K_n for n in -100..100 and n = +-10^6, one
 # "n|sorted (q, u) ranks" line each
 KN_FORMULA_SHA256 = "dcb758f3fbba565968f3db822adae9563c799b973e5eae044611b172bcdf4d54"

@@ -193,6 +193,17 @@ def test_formula_verdict_builds_the_template_once(monkeypatch):
         assert first.evidence["composite_suspected"] == (n == 0)
 
 
+def test_thin_table_missing_the_determinant_raises(monkeypatch):
+    # the unknot's thin F2 table has reduced rank 1; the trefoil's det is 3
+    unknot_table = kh_homology(unknot_zero(), F2)
+    assert unknot_table.dims.diagonals() == [-1, 1]
+    monkeypatch.setattr(obstruction, "kh_homology", lambda d, field: unknot_table)
+    with pytest.raises(InvariantError, match="reduced rank 1 misses det 3"):
+        ccc_verdict(trefoil(), COMPUTE)
+    # the closed-form certificate computes no table, so it has none to check
+    assert ccc_verdict(kn_template(7), FORMULA).verdict == SATISFIES_CCC
+
+
 def test_disagreeing_determinant_channels_raise(monkeypatch):
     monkeypatch.setattr(obstruction, "determinant_alexander", lambda d: 5)
     with pytest.raises(InvariantError, match="Goeritz 3, Alexander 5"):
